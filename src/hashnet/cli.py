@@ -27,7 +27,7 @@ from .formats import (
 from .hashloss import Hyperparams
 from .index import mean_average_precision, pack, search
 from .network import SgdConfig
-from .pretrain import itq, pca_fit
+from .pretrain import init_binary_codes
 from .trainer import LabeledFeatures, default_schedule, train, update_codes
 
 
@@ -157,18 +157,7 @@ def cmd_eval(args) -> int:
 
 def cmd_itq(args) -> int:
     features = read_features(args.features)
-    if features.shape[0] < args.bits:
-        raise InvalidInput(
-            f"need at least {args.bits} samples for {args.bits}-bit codes, "
-            f"got {features.shape[0]}"
-        )
-    if features.shape[1] < args.bits:
-        raise InvalidInput(
-            f"{args.bits}-bit codes need at least {args.bits} feature dimensions, "
-            f"got {features.shape[1]}"
-        )
-    model = pca_fit(features, args.bits)
-    result = itq(model.transform(features), iters=args.iters, seed=args.seed)
+    result = init_binary_codes(features, args.bits, args.seed, iters=args.iters)
     for i, value in enumerate(result.objective_trace, start=1):
         print(f"iter {i} {value:.6f}")
     print(f"final {result.objective_trace[-1]:.6f}")

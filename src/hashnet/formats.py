@@ -38,7 +38,8 @@ class _Reader:
     def __init__(self, path):
         self.path = str(path)
         try:
-            self.data = open(path, "rb").read()
+            with open(path, "rb") as f:
+                self.data = f.read()
         except OSError as exc:
             raise FormatError(f"{path}: cannot read file: {exc}") from None
         self.offset = 0

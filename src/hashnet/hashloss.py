@@ -65,20 +65,34 @@ def _check_shapes(outputs, codes, sim):
     return outputs, codes, sim
 
 
-def loss_terms(outputs, codes, sim, hp: Hyperparams):
+def loss_terms_and_grad(outputs, codes, sim, hp: Hyperparams):
     """The four weighted loss terms (similarity, quantization, independence,
-    balance), each non-negative.  Their sum is the total loss."""
+    balance) and the gradient of their sum with respect to the outputs,
+    sharing one Gram, one covariance and one row-sum evaluation."""
     outputs, codes, sim = _check_shapes(outputs, codes, sim)
     bits, m = outputs.shape
     gram = outputs.T @ outputs / bits - sim
-    sim_term = hp.alpha / (2.0 * m * m) * float(np.sum(gram * gram))
     diff = outputs - codes
-    quant_term = hp.beta / (2.0 * m) * float(np.sum(diff * diff))
     cov = outputs @ outputs.T / m - np.eye(bits)
-    indep_term = hp.theta / 2.0 * float(np.sum(cov * cov))
-    row_means = outputs.sum(axis=1) / m
-    balance_term = hp.gamma / 2.0 * float(np.sum(row_means * row_means))
-    return sim_term, quant_term, indep_term, balance_term
+    row_sums = outputs.sum(axis=1)
+    row_means = row_sums / m
+    terms = (
+        hp.alpha / (2.0 * m * m) * float(np.sum(gram * gram)),
+        hp.beta / (2.0 * m) * float(np.sum(diff * diff)),
+        hp.theta / 2.0 * float(np.sum(cov * cov)),
+        hp.gamma / 2.0 * float(np.sum(row_means * row_means)),
+    )
+    grad = (2.0 * hp.alpha / (m * m * bits)) * (outputs @ gram)
+    grad += (hp.beta / m) * diff
+    grad += (2.0 * hp.theta / m) * (cov @ outputs)
+    grad += (hp.gamma / (m * m)) * row_sums[:, None]
+    return terms, grad
+
+
+def loss_terms(outputs, codes, sim, hp: Hyperparams):
+    """The four weighted loss terms (similarity, quantization, independence,
+    balance), each non-negative.  Their sum is the total loss."""
+    return loss_terms_and_grad(outputs, codes, sim, hp)[0]
 
 
 def loss(outputs, codes, sim, hp: Hyperparams) -> float:
@@ -92,12 +106,4 @@ def loss_grad(outputs, codes, sim, hp: Hyperparams) -> np.ndarray:
     Validated against central finite differences of loss() in the test
     suite, which is the authority on correctness.
     """
-    outputs, codes, sim = _check_shapes(outputs, codes, sim)
-    bits, m = outputs.shape
-    gram = outputs.T @ outputs / bits - sim
-    grad = (2.0 * hp.alpha / (m * m * bits)) * (outputs @ gram)
-    grad += (hp.beta / m) * (outputs - codes)
-    cov = outputs @ outputs.T / m - np.eye(bits)
-    grad += (2.0 * hp.theta / m) * (cov @ outputs)
-    grad += (hp.gamma / (m * m)) * np.repeat(outputs.sum(axis=1)[:, None], m, axis=1)
-    return grad
+    return loss_terms_and_grad(outputs, codes, sim, hp)[1]

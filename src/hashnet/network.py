@@ -2,6 +2,10 @@
 sigmoid, or scaled-sigmoid activations, explicit backpropagation, and
 momentum SGD with weight decay.
 
+Both nonlinear activations come from one tanh: with t = tanh(z / 2),
+sigmoid(z) = (1 + t) / 2 and the scaled sigmoid 2 * sigmoid(z) - 1 = t.
+tanh saturates instead of overflowing, so no input needs special casing.
+
 Samples travel as columns: a batch is a (features x batch) matrix and the
 network output is (code bits x batch).  A NetworkParams instance is mutated
 only by sgd_step; forward passes on it are otherwise read-only.
@@ -103,7 +107,6 @@ class ForwardTape:
     """Intermediate values a forward pass records for backpropagation."""
 
     inputs: np.ndarray
-    pre: list[np.ndarray] = field(default_factory=list)
     out: list[np.ndarray] = field(default_factory=list)
 
 
@@ -137,22 +140,13 @@ def init_head_layers(in_dim: int, spec: HeadSpec, rng: np.random.Generator) -> l
     return layers
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _activate(tag: str, z: np.ndarray) -> np.ndarray:
     if tag == "identity":
         return z
+    t = np.tanh(z / 2.0)
     if tag == "sigmoid":
-        return _sigmoid(z)
-    return 2.0 * _sigmoid(z) - 1.0
+        return 0.5 * (1.0 + t)
+    return t
 
 
 def _activation_grad(tag: str, out: np.ndarray) -> np.ndarray:
@@ -179,7 +173,6 @@ def forward(params: NetworkParams, X) -> tuple[np.ndarray, ForwardTape]:
     for layer in params.layers:
         z = layer.weights @ a + layer.bias[:, None]
         a = _activate(layer.activation, z)
-        tape.pre.append(z)
         tape.out.append(a)
     return a, tape
 

@@ -110,9 +110,10 @@ def itq(projected, iters: int, seed: int, init_rotation=None) -> ItqResult:
     return ItqResult(rotation=rotation, codes=codes.T, objective_trace=trace)
 
 
-def init_binary_codes(features, bits: int, seed: int, iters: int = 50) -> np.ndarray:
+def init_binary_codes(features, bits: int, seed: int, iters: int = 50) -> ItqResult:
     """Starting binary codes for training: ITQ over the centered top-bits
-    PCA projection of the features.  Returns a (bits x n) matrix of +-1."""
+    PCA projection of the features.  The result's codes are a (bits x n)
+    matrix of +-1."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < bits:
         raise InvalidInput(
@@ -123,4 +124,4 @@ def init_binary_codes(features, bits: int, seed: int, iters: int = 50) -> np.nda
             f"{bits}-bit codes need at least {bits} feature dimensions, got {x.shape[1]}"
         )
     model = pca_fit(x, bits)
-    return itq(model.transform(x), iters=iters, seed=seed).codes
+    return itq(model.transform(x), iters=iters, seed=seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, InvalidInput
-from .hashloss import Hyperparams, loss_grad, loss_terms, similarity_matrix
+from .hashloss import Hyperparams, loss_terms_and_grad, similarity_matrix
 from .index import binarize
 from .network import (
     NetworkParams,
@@ -134,9 +134,10 @@ def init_network(
     return NetworkParams([dr] + head)
 
 
-def update_codes(params: NetworkParams, features, batch: int) -> np.ndarray:
-    """Sign of the network output over all samples, computed in column
-    blocks of at most `batch`.  Blocking does not change the result."""
+def _forward_blocks(params: NetworkParams, features, batch: int):
+    """Check (n x d) features and a block size, then return an iterator of
+    (start, outputs) pairs: the network outputs (bits x block) for the
+    samples from start on, in column blocks of at most `batch`."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != params.in_dim:
         raise InvalidInput(
@@ -144,12 +145,19 @@ def update_codes(params: NetworkParams, features, batch: int) -> np.ndarray:
         )
     if batch < 1:
         raise InvalidInput(f"block size must be >= 1, got {batch}")
-    n = features.shape[0]
-    out = np.empty((params.out_dim, n))
-    for start in range(0, n, batch):
-        stop = min(start + batch, n)
-        block, _ = forward(params, features[start:stop].T)
-        out[:, start:stop] = binarize(block)
+    return (
+        (start, forward(params, features[start : start + batch].T)[0])
+        for start in range(0, features.shape[0], batch)
+    )
+
+
+def update_codes(params: NetworkParams, features, batch: int) -> np.ndarray:
+    """Sign of the network output over all samples, computed in column
+    blocks of at most `batch`.  Blocking does not change the result."""
+    blocks = _forward_blocks(params, features, batch)
+    out = np.empty((params.out_dim, len(features)))
+    for start, block in blocks:
+        out[:, start : start + batch] = binarize(block)
     return out
 
 
@@ -192,7 +200,7 @@ def train(
     rng = np.random.default_rng(sched.seed)
     params = init_network(data.features, bits, dr_dim, rng)
     itq_seed = int(rng.integers(0, 2**63))
-    codes = init_binary_codes(data.features, bits, itq_seed, iters=itq_iters)
+    codes = init_binary_codes(data.features, bits, itq_seed, iters=itq_iters).codes
 
     velocity = zero_velocity(params)
     history: list[BatchRecord] = []
@@ -208,7 +216,7 @@ def train(
             batch_sim = similarity_matrix(labels[idx])
             batch_codes = codes[:, idx]
             outputs, tape = forward(params, batch_x)
-            terms = loss_terms(outputs, batch_codes, batch_sim, hp)
+            terms, grad = loss_terms_and_grad(outputs, batch_codes, batch_sim, hp)
             total = float(sum(terms))
             if not np.isfinite(total) or (
                 first_total is not None and first_total > 0 and total > DIVERGENCE_FACTOR * first_total
@@ -218,8 +226,7 @@ def train(
                 )
             if first_total is None:
                 first_total = total
-            grads = backward(params, tape, loss_grad(outputs, batch_codes, batch_sim, hp))
-            sgd_step(params, grads, sgd, velocity)
+            sgd_step(params, backward(params, tape, grad), sgd, velocity)
             history.append(BatchRecord(k, t, total, *terms))
         codes = update_codes(params, data.features, sched.batch)
 
@@ -231,15 +238,13 @@ def train(
 def quantization_gap(params: NetworkParams, features, codes, batch: int = 256) -> float:
     """Mean squared distance between network outputs and their binary
     codes, |F - B|^2 / (bits * n)."""
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
+    blocks = _forward_blocks(params, features, batch)
+    n = len(features)
     bits = params.out_dim
     if codes.shape != (bits, n):
         raise InvalidInput(f"codes shape {codes.shape} does not match ({bits}, {n})")
     total = 0.0
-    for start in range(0, n, batch):
-        stop = min(start + batch, n)
-        block, _ = forward(params, features[start:stop].T)
-        resid = block - codes[:, start:stop]
+    for start, block in blocks:
+        resid = block - codes[:, start : start + batch]
         total += float(np.sum(resid * resid))
     return total / (bits * n)

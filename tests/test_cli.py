@@ -37,6 +37,14 @@ def test_missing_feature_file_exits_2(tmp_path, capsys):
     assert "absent.hsf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [(3, 8), (20, 3)], ids=["few_samples", "few_dims"])
+def test_itq_too_small_for_bits_exits_2(tmp_path, capsys, shape):
+    fpath = tmp_path / "x.hsf"
+    write_features(fpath, np.random.default_rng(0).standard_normal(shape))
+    assert main(["itq", str(fpath), "-o", str(tmp_path / "o.hsb"), "--bits", "4"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_train_is_byte_deterministic(tmp_path):
     fpath, lpath, _, _ = two_class_files(tmp_path)
     outs = []

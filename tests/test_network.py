@@ -133,6 +133,28 @@ def test_activation_ranges():
     assert np.all((F > -1.0) & (F < 1.0))
 
 
+def split_sigmoid(z):
+    """Reference logistic, split by sign so exp never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("tag", ["sigmoid", "scaled_sigmoid"])
+def test_activations_match_split_sigmoid(tag):
+    z = np.linspace(-800.0, 800.0, 1_600_001)[None, :]
+    expected = split_sigmoid(z)
+    if tag == "scaled_sigmoid":
+        expected = 2.0 * expected - 1.0
+    params = NetworkParams([Layer(np.ones((1, 1)), np.zeros(1), tag)])
+    with np.errstate(all="raise"):
+        F, _ = forward(params, z)
+    assert np.max(np.abs(F - expected)) <= 1e-15
+
+
 def test_backward_zero_upstream():
     rng = np.random.default_rng(3)
     params = random_net(rng, [3, 4, 2], ["sigmoid", "scaled_sigmoid"])

@@ -127,11 +127,11 @@ def test_init_binary_codes_entries_and_determinism():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((50, 6))
     x[13] = x[7]  # duplicated sample
-    codes = init_binary_codes(x, 3, seed=5)
+    codes = init_binary_codes(x, 3, seed=5).codes
     assert codes.shape == (3, 50)
     assert np.all(np.abs(codes) == 1.0)
     assert np.array_equal(codes[:, 13], codes[:, 7])
-    again = init_binary_codes(x, 3, seed=5)
+    again = init_binary_codes(x, 3, seed=5).codes
     assert np.array_equal(codes, again)
 
 
@@ -142,7 +142,7 @@ def test_init_binary_codes_single_bit_separates_clusters():
         center + 0.01 * rng.standard_normal((30, 8)),
         -center + 0.01 * rng.standard_normal((30, 8)),
     ])
-    codes = init_binary_codes(x, 1, seed=7)
+    codes = init_binary_codes(x, 1, seed=7).codes
     # Brute-force oracle: the bit must follow the sign of the first
     # principal component projection, up to a global flip.
     model = pca_fit(x, 1)

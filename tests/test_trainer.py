@@ -205,6 +205,14 @@ def test_update_codes_rejects_dim_mismatch():
         update_codes(params, np.zeros((5, 3)), 4)
 
 
+def test_quantization_gap_rejects_zero_block_size():
+    data = two_cluster_data(n=50)
+    params = init_network(data.features, 8, 16, np.random.default_rng(7))
+    codes = update_codes(params, data.features, 16)
+    with pytest.raises(InvalidInput):
+        quantization_gap(params, data.features, codes, batch=0)
+
+
 def test_labeled_features_validation():
     with pytest.raises(InvalidInput):
         LabeledFeatures(np.zeros((4, 2)), np.zeros(3, dtype=int))
