@@ -4,10 +4,20 @@ Packed layout: each code occupies ceil(bits / 8) bytes; bit j of a code
 lives in byte j // 8 at position j % 8 (least-significant bit first), a set
 bit means code value +1, and pad bits past the code length are zero.
 
-Distances are computed with word-level popcount over 64-bit lanes, exactly
-(no approximation), via a full linear scan.  A PackedCodes instance is
-immutable after construction, so concurrent searches over a shared index
-are safe.
+A PackedCodes instance views its payload, without copying it, as an
+(n x lanes) matrix of the widest unsigned integer (64, 32, 16 or 8 bits)
+whose size divides the code length in bytes, so a 64-bit code is one
+uint64 lane and a 48-bit code three uint16 lanes.  One kernel,
+`_distances`, serves both `search` and full rankings for mAP: XOR of the
+lanes, popcount, and a sum over lanes into the smallest unsigned dtype
+that holds `bits`.  Distances are exact, from a full linear scan.
+
+`search` selects its top k by counting: a histogram of the (at most
+bits + 1) distance values gives the k-th smallest distance, and only the
+codes at or below it are sorted, stably, so ties stay ordered by id.
+Full rankings are stable sorts of the small-integer distances.  A
+PackedCodes instance is immutable after construction, so concurrent
+searches over a shared index are safe.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, InvalidInput, UndefinedMetric
+
+# Lane dtypes, widest first; a code set uses the first that divides its byte length.
+_LANES = tuple(np.dtype(t) for t in (np.uint64, np.uint32, np.uint16, np.uint8))
 
 
 def binarize(values) -> np.ndarray:
@@ -42,14 +55,13 @@ class PackedCodes:
                 f"for {self.n} codes of {self.bits} bits"
             )
         raw = np.frombuffer(self.payload, dtype=np.uint8).reshape(self.n, self.code_bytes)
-        pad = np.unpackbits(raw, axis=1, bitorder="little")[:, self.bits :]
-        if pad.size and np.any(pad):
+        if self.bits % 8 and np.any(raw[:, -1] >> (self.bits % 8)):
             raise FormatError("padding bits past the code length must be zero")
-        # 64-bit view once, for the popcount scan.
-        words_per_code = (self.code_bytes + 7) // 8
-        padded = np.zeros((max(self.n, 1), words_per_code * 8), dtype=np.uint8)
-        padded[: self.n, : self.code_bytes] = raw
-        object.__setattr__(self, "_words", padded[: self.n].view(np.uint64))
+        lane = next(t for t in _LANES if self.code_bytes % t.itemsize == 0)
+        words = np.frombuffer(self.payload, dtype=lane)
+        object.__setattr__(
+            self, "_words", words.reshape(self.n, self.code_bytes // lane.itemsize)
+        )
 
     @property
     def code_bytes(self) -> int:
@@ -94,12 +106,28 @@ def hamming(a: bytes, b: bytes, bits: int) -> int:
     return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).bit_count()
 
 
+def _distances(db: PackedCodes, qwords: np.ndarray) -> np.ndarray:
+    """Hamming distances from query lanes to every database code.
+
+    `qwords` holds queries in `db`'s lane dtype, shape (..., lanes); the
+    result has shape (..., n) and the smallest unsigned dtype holding
+    `db.bits`.
+    """
+    counts = np.bitwise_count(db._words ^ qwords)
+    if counts.shape[-1] == 1:
+        return counts[..., 0]
+    return counts.sum(axis=-1, dtype=np.min_scalar_type(db.bits))
+
+
 def search(db: PackedCodes, query: bytes, k: int) -> list[tuple[int, int]]:
     """The k database codes nearest to the query in Hamming distance.
 
     Exact linear scan; ties break toward the lower database id.  Asking for
-    more results than the database holds returns everything.
+    more results than the database holds returns everything.  The query is
+    one packed code, so its pad bits must be zero.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidInput(f"k must be an integer, got {k!r}")
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     if db.n == 0:
@@ -108,12 +136,33 @@ def search(db: PackedCodes, query: bytes, k: int) -> list[tuple[int, int]]:
         raise InvalidInput(
             f"query holds {len(query)} bytes, database codes hold {db.code_bytes}"
         )
-    padded = np.zeros(db._words.shape[1] * 8, dtype=np.uint8)
-    padded[: db.code_bytes] = np.frombuffer(query, dtype=np.uint8)
-    qwords = padded.view(np.uint64)
-    dists = np.bitwise_count(db._words ^ qwords).sum(axis=1)
-    order = np.argsort(dists, kind="stable")[: min(k, db.n)]
-    return [(int(i), int(dists[i])) for i in order]
+    if db.bits % 8 and query[-1] >> (db.bits % 8):
+        raise InvalidInput("query padding bits past the code length must be zero")
+    dists = _distances(db, np.frombuffer(query, dtype=db._words.dtype))
+    k = min(int(k), db.n)
+    cut = np.searchsorted(np.cumsum(np.bincount(dists)), k)
+    cand = np.flatnonzero(dists <= cut)
+    order = cand[np.argsort(dists[cand], kind="stable")[:k]]
+    return list(zip(order.tolist(), dists[order].tolist()))
+
+
+def _average_precisions(rel: np.ndarray) -> np.ndarray:
+    """Average precision of each row of a boolean relevance matrix whose
+    columns are in rank order; rows with no relevant item are left out."""
+    rel = rel[rel.any(axis=1)]
+    hits = np.cumsum(rel, axis=1)
+    precision = np.divide(
+        hits, np.arange(1, rel.shape[1] + 1), out=np.zeros(rel.shape), where=rel
+    )
+    return precision.sum(axis=1) / np.count_nonzero(rel, axis=1)
+
+
+def _mean_ap(aps: list[np.ndarray]) -> float:
+    """Mean of the per-query average precisions gathered from
+    `_average_precisions`; undefined when no query had a relevant item."""
+    if not any(a.size for a in aps):
+        raise UndefinedMetric("no query has a relevant database item")
+    return float(np.mean(np.concatenate(aps)))
 
 
 def mean_average_precision(rankings, query_labels, db_labels) -> float:
@@ -132,12 +181,5 @@ def mean_average_precision(rankings, query_labels, db_labels) -> float:
     aps = []
     for ranking, qlabel in zip(rankings, query_labels):
         ids = np.fromiter((i for i, _ in ranking), dtype=np.int64, count=len(ranking))
-        rel = db_labels[ids] == qlabel
-        hits = int(rel.sum())
-        if hits == 0:
-            continue
-        ranks = np.arange(1, ids.size + 1)
-        aps.append(float((np.cumsum(rel)[rel] / ranks[rel]).sum() / hits))
-    if not aps:
-        raise UndefinedMetric("no query has a relevant database item")
-    return float(np.mean(aps))
+        aps.append(_average_precisions((db_labels[ids] == qlabel)[np.newaxis]))
+    return _mean_ap(aps)

@@ -143,6 +143,8 @@ def _forward_blocks(params: NetworkParams, features, batch: int):
         raise InvalidInput(
             f"features shape {features.shape} does not match network input dim {params.in_dim}"
         )
+    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)):
+        raise InvalidInput(f"block size must be an integer, got {batch!r}")
     if batch < 1:
         raise InvalidInput(f"block size must be >= 1, got {batch}")
     return (
@@ -239,6 +241,7 @@ def quantization_gap(params: NetworkParams, features, codes, batch: int = 256) -
     """Mean squared distance between network outputs and their binary
     codes, |F - B|^2 / (bits * n)."""
     blocks = _forward_blocks(params, features, batch)
+    codes = np.asarray(codes, dtype=np.float64)
     n = len(features)
     bits = params.out_dim
     if codes.shape != (bits, n):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import hashnet.cli
 from hashnet.cli import main
+from hashnet.errors import UndefinedMetric
 from hashnet.formats import (
     load_model,
     read_codes,
@@ -9,7 +11,7 @@ from hashnet.formats import (
     write_features,
     write_labels,
 )
-from hashnet.index import pack, unpack
+from hashnet.index import mean_average_precision, pack, search, unpack
 from hashnet.network import forward
 
 
@@ -257,6 +259,60 @@ def test_eval_undefined_metric_exits_4(tmp_path, capsys):
     write_codes(q, pack(np.ones((4, 2))))
     write_labels(qlab, np.array([5, 6]))
     assert main(["eval", str(db), str(dlab), str(q), str(qlab)]) == 4
+
+
+@pytest.mark.parametrize("case", ["queries", "leave_one_out", "no_relevant"])
+def test_eval_tiles_match_map_of_search_rankings(tmp_path, capsys, monkeypatch, case):
+    rng = np.random.default_rng(12)
+    n = 60
+    pool = np.where(rng.standard_normal((12, 3)) >= 0, 1.0, -1.0)
+    dbc = pool[:, rng.integers(0, 3, size=n)]
+    dbc = np.where(rng.random(dbc.shape) < 0.1, -dbc, dbc)
+    db_labels = rng.integers(0, 4, size=n)
+    qc = np.where(rng.standard_normal((12, 25)) >= 0, 1.0, -1.0)
+    if case == "leave_one_out":
+        qc, q_labels = dbc, db_labels
+    elif case == "queries":
+        q_labels = rng.integers(0, 6, size=25)  # labels 4 and 5 have no relevant item
+    else:
+        q_labels = np.full(25, 4)
+    db, dlab = tmp_path / "db.hsb", tmp_path / "db.hsl"
+    q, qlab = tmp_path / "q.hsb", tmp_path / "q.hsl"
+    write_codes(db, pack(dbc))
+    write_labels(dlab, db_labels)
+    write_codes(q, pack(qc))
+    write_labels(qlab, q_labels)
+
+    packed = pack(dbc)
+    rankings = []
+    for i in range(qc.shape[1]):
+        ranked = search(packed, pack(qc[:, [i]]).payload, n)
+        if case == "leave_one_out":
+            ranked = [(j, d) for j, d in ranked if j != i]
+        rankings.append(ranked)
+
+    # Seven query rows per tile, so every query set spans several tiles.
+    monkeypatch.setattr(hashnet.cli, "_EVAL_TILE_PAIRS", 7 * n)
+    computed = []
+    blocked = hashnet.cli._mean_ap
+
+    def spy(aps):
+        computed.append(blocked(aps))
+        return computed[-1]
+
+    monkeypatch.setattr(hashnet.cli, "_mean_ap", spy)
+    argv = ["eval", str(db), str(dlab), str(q), str(qlab)]
+    if case == "leave_one_out":
+        argv.append("--leave-one-out")
+    if case == "no_relevant":
+        with pytest.raises(UndefinedMetric):
+            mean_average_precision(rankings, q_labels, db_labels)
+        assert main(argv) == 4
+        return
+    want = mean_average_precision(rankings, q_labels, db_labels)
+    assert main(argv) == 0
+    assert abs(computed[0] - want) <= 1e-12
+    assert capsys.readouterr().out.splitlines()[0] == f"mAP {want:.6f}"
 
 
 def test_itq_objectives_non_increasing_and_deterministic(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hashnet.errors import FormatError, InvalidInput, UndefinedMetric
+from hashnet.formats import read_codes, write_codes
 from hashnet.index import (
     PackedCodes,
     binarize,
@@ -65,7 +69,9 @@ def test_pack_single_bit_codes():
     assert pack(codes).payload == bytes([0x01, 0x00])
 
 
-@pytest.mark.parametrize("bits", [7, 8, 9, 48])
+# Lanes: 1, 3, 7, 8 and 24 bits are uint8; 9, 12, 16 and 48 uint16; 32
+# uint32; 64, 65 and 128 uint64.
+@pytest.mark.parametrize("bits", [1, 3, 7, 8, 9, 12, 16, 24, 32, 48, 64, 65, 128])
 def test_pack_round_trip(bits):
     rng = np.random.default_rng(bits)
     b = random_codes(rng, bits, 23)
@@ -91,9 +97,25 @@ def test_packed_codes_rejects_bad_payload_length():
         PackedCodes(n=2, bits=8, payload=b"\x00")
 
 
-def test_packed_codes_rejects_nonzero_padding():
+def test_packed_codes_rejects_nonzero_padding(tmp_path):
     with pytest.raises(FormatError):
         PackedCodes(n=1, bits=4, payload=bytes([0xF0]))
+    path = tmp_path / "codes.hsb"
+    # Every partial last byte, in codes of 1, 2, 3, 4 and 8 bytes.
+    for bits in [8 * whole + rest for whole in (0, 1, 2, 3, 7) for rest in range(1, 8)]:
+        cb = (bits + 7) // 8
+        full = bytearray(b"\xff" * (3 * cb))
+        for row in range(3):
+            full[row * cb + cb - 1] = (1 << (bits % 8)) - 1
+        assert PackedCodes(n=3, bits=bits, payload=bytes(full)).n == 3
+        for pad in range(bits % 8, 8):
+            payload = bytearray(full)
+            payload[(pad % 3) * cb + cb - 1] |= 1 << pad
+            with pytest.raises(FormatError):
+                PackedCodes(n=3, bits=bits, payload=bytes(payload))
+            path.write_bytes(b"HSB1" + struct.pack("<II", 3, bits) + payload)
+            with pytest.raises(FormatError, match="codes.hsb: padding bits"):
+                read_codes(path)
 
 
 def test_hamming_known_case():
@@ -160,6 +182,14 @@ def test_search_rejects_bad_k_and_empty_db():
     db = pack(random_codes(rng, 8, 5))
     with pytest.raises(InvalidInput):
         search(db, db.payload[:1], 0)
+    for bad in (2.5, "3", True, np.float64(2.0), np.bool_(True), None):
+        with pytest.raises(InvalidInput):
+            search(db, db.payload[:1], bad)
+    with pytest.raises(InvalidInput):
+        search(pack(random_codes(rng, 4, 5)), bytes([0xF0]), 1)
+    want = search(db, db.payload[:1], 3)
+    assert search(db, db.payload[:1], np.int64(3)) == want
+    assert search(db, db.payload[:1], np.uint8(3)) == want
     empty = PackedCodes(n=0, bits=8, payload=b"")
     with pytest.raises(InvalidInput):
         search(empty, b"\x00", 1)
@@ -179,6 +209,50 @@ def test_search_matches_naive_scan():
         assert [(j, d) for d, j in naive] == got
         dists = [d for _, d in got]
         assert dists == sorted(dists)
+
+
+def tied_codes(rng, bits, n):
+    # Noisy copies of four random codes: many equal distances to any query.
+    pool = random_codes(rng, bits, 4)
+    codes = pool[:, rng.integers(0, 4, size=n)]
+    return np.where(rng.random((bits, n)) < 1.5 / bits, -codes, codes)
+
+
+@pytest.mark.parametrize("bits", [1, 3, 8, 12, 24, 32, 48, 64, 65, 128])
+def test_search_matches_bit_loop_with_ties(bits):
+    rng = np.random.default_rng(bits)
+    n = 40
+    b = tied_codes(rng, bits, n)
+    db = pack(b)
+    for query in (b[:, 0], tied_codes(rng, bits, 1)[:, 0]):
+        payload = pack(query[:, np.newaxis]).payload
+        naive = sorted((hamming_bit_loop(b[:, j], query), j) for j in range(n))
+        dists = [d for d, _ in naive]
+        tie = next(i for i in range(1, n) if dists[i - 1] == dists[i])
+        for k in (1, 2, tie, n - 1, n, n + 5):
+            assert search(db, payload, k) == [(j, d) for d, j in naive[:k]]
+
+
+def test_read_and_search_allocate_little_beyond_the_payload(tmp_path):
+    # tracemalloc sees numpy's data buffers, so these are allocation counts.
+    n = 200_000
+    payload = np.random.default_rng(9).bytes(n * 8)
+    path = tmp_path / "db.hsb"
+    write_codes(path, PackedCodes(n=n, bits=64, payload=payload))
+    query = payload[8:16]
+    tracemalloc.start()
+    try:
+        db = read_codes(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        got = search(db, query, 10)
+        _, search_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got[0] == (1, 0)
+    assert read_peak <= 2.5 * len(payload)
+    assert search_peak - held <= 1.5 * len(payload)
 
 
 def test_map_two_hits_at_ranks_one_and_three():

@@ -209,8 +209,13 @@ def test_quantization_gap_rejects_zero_block_size():
     data = two_cluster_data(n=50)
     params = init_network(data.features, 8, 16, np.random.default_rng(7))
     codes = update_codes(params, data.features, 16)
-    with pytest.raises(InvalidInput):
-        quantization_gap(params, data.features, codes, batch=0)
+    for bad in (0, 1.5, True, "16"):
+        with pytest.raises(InvalidInput):
+            quantization_gap(params, data.features, codes, batch=bad)
+        with pytest.raises(InvalidInput):
+            update_codes(params, data.features, bad)
+    want = quantization_gap(params, data.features, codes, batch=16)
+    assert quantization_gap(params, data.features, codes.tolist(), batch=np.int64(16)) == want
 
 
 def test_labeled_features_validation():
