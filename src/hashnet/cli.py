@@ -6,6 +6,7 @@ all text output is locale-independent.
 """
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from .errors import (
     UndefinedMetric,
 )
 from .formats import (
+    atomic_write,
     load_model,
     read_codes,
     read_features,
@@ -47,6 +49,13 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+def _text_out(path):
+    """Where a command writes its text lines: `path`, atomically, or stdout."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return atomic_write(path, "w", encoding="ascii")
+
+
 def cmd_train(args) -> int:
     features = read_features(args.features)
     labels = read_labels(args.labels)
@@ -65,17 +74,13 @@ def cmd_train(args) -> int:
     )
     state = train(data, args.bits, hp, sched, sgd, dr_dim=args.dr_dim)
 
-    lines = [
-        f"{r.outer} {r.inner} {_fmt(r.total)} {_fmt(r.similarity)} "
-        f"{_fmt(r.quantization)} {_fmt(r.independence)} {_fmt(r.balance)}"
-        for r in state.history
-    ]
-    if args.log:
-        with open(args.log, "w", encoding="ascii") as f:
-            f.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
+    with _text_out(args.log) as out:
+        for r in state.history:
+            print(
+                f"{r.outer} {r.inner} {_fmt(r.total)} {_fmt(r.similarity)} "
+                f"{_fmt(r.quantization)} {_fmt(r.independence)} {_fmt(r.balance)}",
+                file=out,
+            )
 
     metadata = {
         "bits": args.bits,
@@ -118,15 +123,11 @@ def cmd_search(args) -> int:
             f"code length mismatch: {args.db} has {db.bits} bits, "
             f"{args.queries} has {queries.bits}"
         )
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="ascii")
-    try:
+    with _text_out(args.out) as out:
         for i in range(queries.n):
             ranked = search(db, queries.code(i), args.k)
             pairs = " ".join(f"{j}:{dist}" for j, dist in ranked)
             print(f"{i} {pairs}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -9,19 +9,25 @@ Three binary containers, all little-endian with a 4-byte ASCII magic:
 plus a JSON model document holding layer dimensions, activation tags, and
 base64 little-endian f64 weight/bias payloads.  Readers reject wrong magic,
 truncation, trailing bytes, and non-finite floats with a message naming the
-file and byte offset.  Writers are deterministic: the same inputs produce
-identical bytes.
+file and byte offset, and check a declared length against the file size
+before reading it.  Writers are deterministic: the same inputs produce
+identical bytes, and a file is replaced whole or not at all.
 """
 
 import base64
+import contextlib
+import io
 import json
+import math
+import os
+import stat
 import struct
 
 import numpy as np
 
 from .errors import FormatError, InvalidInput
 from .index import PackedCodes
-from .network import ACTIVATIONS, Layer, NetworkParams
+from .network import Layer, NetworkParams
 
 FEATURES_MAGIC = b"HSF1"
 LABELS_MAGIC = b"HSL1"
@@ -32,48 +38,59 @@ MODEL_VERSION = 1
 _U32_MAX = 2**32 - 1
 
 
-class _Reader:
-    """Byte reader tracking the current offset for diagnostics."""
-
-    def __init__(self, path):
-        self.path = str(path)
-        try:
-            with open(path, "rb") as f:
-                self.data = f.read()
-        except OSError as exc:
-            raise FormatError(f"{path}: cannot read file: {exc}") from None
-        self.offset = 0
-
-    def take(self, count: int, what: str) -> bytes:
-        chunk = self.data[self.offset : self.offset + count]
-        if len(chunk) != count:
-            raise FormatError(
-                f"{self.path}: truncated file at offset {self.offset}: "
-                f"expected {count} bytes for {what}, got {len(chunk)}"
-            )
-        self.offset += count
-        return chunk
-
-    def magic(self, expected: bytes):
-        got = self.take(4, "magic")
-        if got != expected:
-            raise FormatError(
-                f"{self.path}: bad magic at offset 0: expected {expected!r}, got {got!r}"
-            )
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def finish(self):
-        if self.offset != len(self.data):
-            raise FormatError(
-                f"{self.path}: {len(self.data) - self.offset} unexpected trailing "
-                f"bytes at offset {self.offset}"
-            )
+def _read(path, magic: bytes, fields: tuple, payload_size):
+    """Read a container: `magic`, one u32 per name in `fields`, then a
+    payload of payload_size(*header) bytes.  The declared size is checked
+    against the file size before the payload is read, so a forged header
+    cannot cause a large allocation.  Returns the header and the payload."""
+    try:
+        with open(path, "rb") as f:
+            st = os.fstat(f.fileno())
+            size = st.st_size
+            if not stat.S_ISREG(st.st_mode):  # a pipe has no size to check: take it whole
+                data = f.read()
+                f, size = io.BytesIO(data), len(data)
+            head = f.read(4 + 4 * len(fields))
+            if head[:4] != magic:
+                raise FormatError(
+                    f"{path}: bad magic at offset 0: expected {magic!r}, got {head[:4]!r}"
+                )
+            if len(head) < 4 + 4 * len(fields):
+                raise FormatError(f"{path}: truncated header at offset {len(head)}: {fields}")
+            header = struct.unpack(f"<{len(fields)}I", head[4:])
+            count = payload_size(*header)
+            payload = f.read(count) if size - len(head) == count else b""
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read file: {exc}") from None
+    if len(payload) != count or size - len(head) != count:
+        raise FormatError(
+            f"{path}: the header declares {count} payload bytes at offset "
+            f"{len(head)}, the file holds {size - len(head)}"
+        )
+    return header, payload
 
 
-def _u32_bytes(value: int) -> bytes:
-    return struct.pack("<I", value)
+@contextlib.contextmanager
+def atomic_write(path, mode: str, **kwargs):
+    """Open `path` for writing through a temp file beside its target
+    (symlinks followed) that replaces the target when the block completes
+    and is removed on any exception, KeyboardInterrupt included.  A target
+    that exists and is not a regular file (a FIFO, /dev/null) is written in
+    place."""
+    target = os.path.realpath(path)
+    old = os.stat(target) if os.path.exists(target) else None
+    in_place = old is not None and not stat.S_ISREG(old.st_mode)
+    tmp = target if in_place else f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            if old is not None and not in_place:  # keep the mode, as truncating would
+                os.chmod(f.fileno(), stat.S_IMODE(old.st_mode))
+            yield f
+        if not in_place:
+            os.replace(tmp, target)
+    finally:  # the temp file is still there only if the write failed
+        if not in_place and os.path.lexists(tmp):
+            os.unlink(tmp)
 
 
 def write_features(path, features):
@@ -83,32 +100,23 @@ def write_features(path, features):
         raise InvalidInput(f"features must be 2-d, got shape {x.shape}")
     if x.shape[0] > _U32_MAX or x.shape[1] > _U32_MAX:
         raise InvalidInput("feature matrix too large for the file header")
-    as_f32 = x.astype("<f4")
+    as_f32 = x.astype("<f4", order="C")
     if x.size and not np.all(np.isfinite(as_f32)):
         raise InvalidInput("features must be finite (and within float32 range)")
-    with open(path, "wb") as f:
-        f.write(FEATURES_MAGIC)
-        f.write(_u32_bytes(x.shape[0]))
-        f.write(_u32_bytes(x.shape[1]))
-        f.write(as_f32.tobytes())
+    with atomic_write(path, "wb") as f:
+        f.write(FEATURES_MAGIC + struct.pack("<2I", *x.shape))
+        f.write(as_f32)
 
 
 def read_features(path) -> np.ndarray:
     """Read an HSF1 file into an (n x d) float64 matrix."""
-    r = _Reader(path)
-    r.magic(FEATURES_MAGIC)
-    n = r.u32("sample count")
-    d = r.u32("feature dim")
-    payload_at = r.offset
-    raw = r.take(4 * n * d, "feature payload")
-    r.finish()
+    (n, d), raw = _read(path, FEATURES_MAGIC, ("sample count", "feature dim"),
+                        lambda n, d: 4 * n * d)
     values = np.frombuffer(raw, dtype="<f4")
     finite = np.isfinite(values)
     if not np.all(finite):
         bad = int(np.argmin(finite))
-        raise FormatError(
-            f"{r.path}: non-finite float at offset {payload_at + 4 * bad}"
-        )
+        raise FormatError(f"{path}: non-finite float at offset {12 + 4 * bad}")
     return values.astype(np.float64).reshape(n, d)
 
 
@@ -121,19 +129,14 @@ def write_labels(path, labels):
         raise InvalidInput("labels must be integers")
     if y.size and (y.min() < 0 or y.max() > _U32_MAX):
         raise InvalidInput("labels must fit an unsigned 32-bit integer")
-    with open(path, "wb") as f:
-        f.write(LABELS_MAGIC)
-        f.write(_u32_bytes(y.size))
-        f.write(y.astype("<u4").tobytes())
+    with atomic_write(path, "wb") as f:
+        f.write(LABELS_MAGIC + struct.pack("<I", y.size))
+        f.write(y.astype("<u4"))
 
 
 def read_labels(path) -> np.ndarray:
     """Read an HSL1 file into an int64 vector."""
-    r = _Reader(path)
-    r.magic(LABELS_MAGIC)
-    n = r.u32("label count")
-    raw = r.take(4 * n, "label payload")
-    r.finish()
+    _, raw = _read(path, LABELS_MAGIC, ("label count",), lambda n: 4 * n)
     return np.frombuffer(raw, dtype="<u4").astype(np.int64)
 
 
@@ -141,27 +144,19 @@ def write_codes(path, packed: PackedCodes):
     """Write packed binary codes as an HSB1 file."""
     if packed.n > _U32_MAX or packed.bits > _U32_MAX:
         raise InvalidInput("code set too large for the file header")
-    with open(path, "wb") as f:
-        f.write(CODES_MAGIC)
-        f.write(_u32_bytes(packed.n))
-        f.write(_u32_bytes(packed.bits))
+    with atomic_write(path, "wb") as f:
+        f.write(CODES_MAGIC + struct.pack("<2I", packed.n, packed.bits))
         f.write(packed.payload)
 
 
 def read_codes(path) -> PackedCodes:
     """Read an HSB1 file; validates payload length and zero padding bits."""
-    r = _Reader(path)
-    r.magic(CODES_MAGIC)
-    n = r.u32("code count")
-    bits = r.u32("code length")
-    if bits < 1:
-        raise FormatError(f"{r.path}: code length must be >= 1, got {bits}")
-    payload = r.take(n * ((bits + 7) // 8), "code payload")
-    r.finish()
+    (n, bits), payload = _read(path, CODES_MAGIC, ("code count", "code length"),
+                               lambda n, bits: n * ((bits + 7) // 8))
     try:
         return PackedCodes(n=n, bits=bits, payload=payload)
     except FormatError as exc:
-        raise FormatError(f"{r.path}: {exc}") from None
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _encode_array(a: np.ndarray) -> str:
@@ -173,7 +168,7 @@ def _decode_array(text: str, shape: tuple, path, what: str) -> np.ndarray:
         raw = base64.b64decode(text, validate=True)
     except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: cannot decode {what}: {exc}") from None
-    expect = int(np.prod(shape)) * 8
+    expect = 8 * math.prod(shape)
     if len(raw) != expect:
         raise FormatError(
             f"{path}: {what} holds {len(raw)} bytes, expected {expect} for shape {shape}"
@@ -206,7 +201,7 @@ def save_model(path, params: NetworkParams, metadata: dict):
         ],
         "metadata": metadata,
     }
-    with open(path, "w", encoding="ascii") as f:
+    with atomic_write(path, "w", encoding="ascii") as f:
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
         f.write("\n")
 
@@ -218,7 +213,7 @@ def load_model(path) -> tuple[NetworkParams, dict]:
             doc = json.load(f)
     except OSError as exc:
         raise FormatError(f"{path}: cannot read file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise FormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} document")
@@ -233,17 +228,15 @@ def load_model(path) -> tuple[NetworkParams, dict]:
             activation = entry["activation"]
             in_dim, out_dim = int(entry["in_dim"]), int(entry["out_dim"])
             w_text, b_text = entry["weights"], entry["bias"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: malformed layer {i}: {exc}") from None
-        if activation not in ACTIVATIONS:
-            raise FormatError(f"{path}: layer {i} has unknown activation {activation!r}")
         if in_dim < 1 or out_dim < 1:
             raise FormatError(f"{path}: layer {i} has non-positive dimensions")
         weights = _decode_array(w_text, (out_dim, in_dim), path, f"layer {i} weights")
         bias = _decode_array(b_text, (out_dim,), path, f"layer {i} bias")
-        layers.append(Layer(weights, bias, activation))
+        layers.append((weights, bias, activation))
     try:
-        params = NetworkParams(layers)
+        params = NetworkParams([Layer(*layer) for layer in layers])
     except InvalidInput as exc:
         raise FormatError(f"{path}: {exc}") from None
     if params.out_dim != doc.get("bits"):

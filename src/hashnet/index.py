@@ -12,9 +12,10 @@ uint64 lane and a 48-bit code three uint16 lanes.  One kernel,
 lanes, popcount, and a sum over lanes into the smallest unsigned dtype
 that holds `bits`.  Distances are exact, from a full linear scan.
 
-`search` selects its top k by counting: a histogram of the (at most
-bits + 1) distance values gives the k-th smallest distance, and only the
-codes at or below it are sorted, stably, so ties stay ordered by id.
+`search` scans blocks of `_SCAN_ROWS` codes and selects its top k by
+counting: a histogram of the (at most bits + 1) distance values gives the
+k-th smallest distance, and only the codes at or below it are sorted,
+stably, so ties stay ordered by id.
 Full rankings are stable sorts of the small-integer distances.  A
 PackedCodes instance is immutable after construction, so concurrent
 searches over a shared index are safe.
@@ -28,6 +29,8 @@ from .errors import FormatError, InvalidInput, UndefinedMetric
 
 # Lane dtypes, widest first; a code set uses the first that divides its byte length.
 _LANES = tuple(np.dtype(t) for t in (np.uint64, np.uint32, np.uint16, np.uint8))
+# Codes `search` scans at a time, so that no temporary is payload-sized.
+_SCAN_ROWS = 2**15
 
 
 def binarize(values) -> np.ndarray:
@@ -106,14 +109,14 @@ def hamming(a: bytes, b: bytes, bits: int) -> int:
     return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).bit_count()
 
 
-def _distances(db: PackedCodes, qwords: np.ndarray) -> np.ndarray:
-    """Hamming distances from query lanes to every database code.
+def _distances(db: PackedCodes, qwords: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Hamming distances from query lanes to the database codes in `rows`.
 
     `qwords` holds queries in `db`'s lane dtype, shape (..., lanes); the
-    result has shape (..., n) and the smallest unsigned dtype holding
+    result has shape (..., rows) and the smallest unsigned dtype holding
     `db.bits`.
     """
-    counts = np.bitwise_count(db._words ^ qwords)
+    counts = np.bitwise_count(db._words[rows] ^ qwords)
     if counts.shape[-1] == 1:
         return counts[..., 0]
     return counts.sum(axis=-1, dtype=np.min_scalar_type(db.bits))
@@ -138,9 +141,12 @@ def search(db: PackedCodes, query: bytes, k: int) -> list[tuple[int, int]]:
         )
     if db.bits % 8 and query[-1] >> (db.bits % 8):
         raise InvalidInput("query padding bits past the code length must be zero")
-    dists = _distances(db, np.frombuffer(query, dtype=db._words.dtype))
+    qwords = np.frombuffer(query, dtype=db._words.dtype)
+    blocks = [_distances(db, qwords, slice(s, s + _SCAN_ROWS)) for s in range(0, db.n, _SCAN_ROWS)]
+    dists = np.concatenate(blocks)
     k = min(int(k), db.n)
-    cut = np.searchsorted(np.cumsum(np.bincount(dists)), k)
+    hist = sum(np.bincount(b, minlength=db.bits + 1) for b in blocks)
+    cut = np.searchsorted(np.cumsum(hist), k)
     cand = np.flatnonzero(dists <= cut)
     order = cand[np.argsort(dists[cand], kind="stable")[:k]]
     return list(zip(order.tolist(), dists[order].tolist()))

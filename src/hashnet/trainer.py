@@ -190,7 +190,7 @@ def train(
     binary codes from ITQ, then for each outer round run `sched.inner`
     minibatch SGD steps against the frozen codes and re-binarize the codes
     from the updated network.  Raises DivergenceError if a batch loss goes
-    non-finite or explodes past 1e6 times the first batch loss.
+    non-finite or explodes past 1e6 times the first positive batch loss.
     """
     if bits < 1:
         raise InvalidInput(f"code length must be >= 1, got {bits}")
@@ -221,12 +221,12 @@ def train(
             terms, grad = loss_terms_and_grad(outputs, batch_codes, batch_sim, hp)
             total = float(sum(terms))
             if not np.isfinite(total) or (
-                first_total is not None and first_total > 0 and total > DIVERGENCE_FACTOR * first_total
+                first_total is not None and total > DIVERGENCE_FACTOR * first_total
             ):
                 raise DivergenceError(
                     f"loss diverged at outer {k}, inner {t}: {total!r}", outer=k, inner=t
                 )
-            if first_total is None:
+            if first_total is None and total > 0:
                 first_total = total
             sgd_step(params, backward(params, tape, grad), sgd, velocity)
             history.append(BatchRecord(k, t, total, *terms))

@@ -189,6 +189,35 @@ def test_search_distances_match_recomputation(tmp_path):
             assert dist == int(np.sum(dbc[:, j] != qc[:, qi]))
 
 
+def test_interrupted_search_keeps_the_old_output(tmp_path, monkeypatch):
+    db, results = tmp_path / "db.hsb", tmp_path / "results.txt"
+    write_codes(db, pack(distinct_codes(8, 5)))
+    results.write_text("earlier results\n")
+    calls = []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return search(*args)
+
+    monkeypatch.setattr(hashnet.cli, "search", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["search", str(db), str(db), "-k", "2", "-o", str(results)])
+    assert len(calls) == 2
+    assert results.read_text() == "earlier results\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["db.hsb", "results.txt"]
+
+
+def test_encode_exits_2_on_a_model_that_is_not_utf8(tmp_path, capsys):
+    fpath, _, _, _ = two_class_files(tmp_path, n=20)
+    model = tmp_path / "m.json"
+    model.write_bytes(b"\xff\xfe{}")
+    assert main(["encode", str(model), str(fpath), "-o", str(tmp_path / "o.hsb")]) == 2
+    assert "m.json" in capsys.readouterr().err
+    assert not (tmp_path / "o.hsb").exists()
+
+
 def test_eval_perfect_codes_leave_one_out(tmp_path, capsys):
     codes = np.ones((8, 20))
     codes[:, 10:] = -1.0

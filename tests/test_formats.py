@@ -1,5 +1,10 @@
 import base64
 import json
+import os
+import stat
+import threading
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,3 +200,110 @@ def test_model_rejects_corrupt_payload(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         load_model(path)
+
+
+@pytest.mark.parametrize("case", ["not_utf8", "dims_overflow_int64", "infinite_dim"])
+def test_model_rejects_what_used_to_raise_stray_exceptions(tmp_path, case):
+    path = tmp_path / "model.json"
+    save_model(path, model_fixture(), {})
+    doc = json.loads(path.read_text())
+    if case == "not_utf8":
+        path.write_bytes(b"\xff\xfe" + json.dumps(doc).encode())
+    elif case == "dims_overflow_int64":
+        # np.prod((4, 2**62)) wraps to 0 and would accept an empty payload
+        doc["layers"][0].update(in_dim=2**62, out_dim=4, weights="", bias="")
+        path.write_text(json.dumps(doc))
+    else:
+        doc["layers"][0]["in_dim"] = float("inf")
+        path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="model.json"):
+        load_model(path)
+
+
+def test_features_io_holds_one_payload_copy(tmp_path):
+    n, d = 50_000, 16
+    path = tmp_path / "x.hsf"
+    x = np.asfortranarray(np.random.default_rng(4).standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        write_features(path, x)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        got = read_features(path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, x.astype(np.float32))
+    # the float32 payload, its finiteness mask, and on reading the float64 result
+    assert write_peak <= 1.5 * (4 * n * d)
+    assert read_peak <= 3.5 * (4 * n * d)
+
+
+def listing(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "b.hsb"
+    write_codes(path, pack(np.ones((8, 3))))
+    before = path.read_bytes()
+    broken = SimpleNamespace(n=1, bits=8, payload=object())  # fails after the header
+    with pytest.raises(TypeError):
+        write_codes(path, broken)
+    assert path.read_bytes() == before
+    assert listing(tmp_path) == ["b.hsb"]
+
+
+def test_write_through_symlink_replaces_its_target(tmp_path):
+    real, link = tmp_path / "real.hsb", tmp_path / "link.hsb"
+    write_codes(real, pack(np.ones((8, 1))))
+    link.symlink_to(real)
+    codes = pack(-np.ones((8, 2)))
+    write_codes(link, codes)
+    assert link.is_symlink()
+    assert read_codes(real).payload == codes.payload
+    assert listing(tmp_path) == ["link.hsb", "real.hsb"]
+
+
+def test_write_keeps_the_mode_open_gives(tmp_path):
+    fresh, kept, reference = tmp_path / "fresh.hsl", tmp_path / "kept.hsl", tmp_path / "ref"
+    reference.open("w").close()
+    write_labels(fresh, [1, 2])
+    write_labels(kept, [1, 2])
+    os.chmod(kept, 0o604)
+    write_labels(kept, [3])
+    mode = lambda p: stat.S_IMODE(os.stat(p).st_mode)
+    assert mode(fresh) == mode(reference)
+    assert mode(kept) == 0o604
+    assert read_labels(kept).tolist() == [3]
+
+
+def test_fifo_is_written_in_place_and_read_whole(tmp_path):
+    fifo, regular = tmp_path / "pipe.hsb", tmp_path / "regular.hsb"
+    os.mkfifo(fifo)
+    codes = pack(np.where(np.random.default_rng(5).standard_normal((12, 5)) >= 0, 1.0, -1.0))
+    write_codes(regular, codes)
+    got = {}
+
+    def read_pipe():
+        with open(fifo, "rb") as f:
+            got["bytes"] = f.read()
+
+    def write_pipe():
+        with open(fifo, "wb") as f:
+            f.write(regular.read_bytes())
+
+    reader = threading.Thread(target=read_pipe, daemon=True)
+    reader.start()
+    write_codes(fifo, codes)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got["bytes"] == regular.read_bytes()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    writer = threading.Thread(target=write_pipe, daemon=True)
+    writer.start()
+    assert read_codes(fifo).payload == codes.payload
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert listing(tmp_path) == ["pipe.hsb", "regular.hsb"]

@@ -172,6 +172,23 @@ def test_train_divergence_guard_reports_position():
     assert exc.value.inner >= 1
 
 
+def test_divergence_reference_is_the_first_positive_loss(monkeypatch):
+    import hashnet.trainer
+
+    real = hashnet.trainer.loss_terms_and_grad
+    totals = iter([0.0, 1.0, 1e7])
+
+    def scripted(*args):
+        _, grad = real(*args)
+        return (next(totals), 0.0, 0.0, 0.0), grad
+
+    monkeypatch.setattr(hashnet.trainer, "loss_terms_and_grad", scripted)
+    sched = TrainSchedule(outer=1, inner=5, batch=16, seed=1)
+    with pytest.raises(DivergenceError) as exc:
+        train(two_cluster_data(n=64), 8, Hyperparams(), sched, SgdConfig())
+    assert (exc.value.outer, exc.value.inner) == (1, 3)
+
+
 def test_update_codes_zero_network_all_positive():
     from hashnet.network import Layer, NetworkParams
 
