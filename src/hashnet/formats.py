@@ -88,6 +88,10 @@ def atomic_write(path, mode: str, **kwargs):
             yield f
         if not in_place:
             os.replace(tmp, target)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None  # name the target, not the temp file
     finally:  # the temp file is still there only if the write failed
         if not in_place and os.path.lexists(tmp):
             os.unlink(tmp)

@@ -17,6 +17,7 @@ from .errors import DivergenceError, InvalidInput
 from .hashloss import Hyperparams, loss_terms_and_grad, similarity_matrix
 from .index import binarize
 from .network import (
+    Layer,
     NetworkParams,
     SgdConfig,
     backward,
@@ -147,15 +148,39 @@ def _forward_blocks(params: NetworkParams, features, batch: int):
         raise InvalidInput(f"block size must be an integer, got {batch!r}")
     if batch < 1:
         raise InvalidInput(f"block size must be >= 1, got {batch}")
+    folded = _folded(params)
     return (
-        (start, forward(params, features[start : start + batch].T)[0])
+        (start, forward(folded, features[start : start + batch].T)[0])
         for start in range(0, features.shape[0], batch)
     )
 
 
+def _folded(params: NetworkParams) -> NetworkParams:
+    """A copy of the network with each identity layer a merged into the
+    layer b after it, b(W_a x + b_a) = (W_b W_a) x + (W_b b_a + b_b), where
+    that cuts the multiplies per sample.  The rule looks at shapes only, so
+    every call on one model runs the same layers.  Builds new layers;
+    `params` is never mutated."""
+    layers = [params.layers[0]]
+    for b in params.layers[1:]:
+        a = layers[-1]
+        if a.activation == "identity" and b.out_dim * a.in_dim < a.out_dim * (a.in_dim + b.out_dim):
+            layers[-1] = Layer(b.weights @ a.weights, b.weights @ a.bias + b.bias, b.activation)
+        else:
+            layers.append(b)
+    return NetworkParams(layers)
+
+
 def update_codes(params: NetworkParams, features, batch: int) -> np.ndarray:
     """Sign of the network output over all samples, computed in column
-    blocks of at most `batch`.  Blocking does not change the result."""
+    blocks of at most `batch`.  Blocking does not change the result.
+
+    An identity layer (the PCA reduction) is first folded into the layer
+    after it wherever that cuts the multiplies per sample.  The choice
+    depends on the model alone, so the same layers run however many
+    samples a call has; outputs can differ from `forward` on the unfolded
+    network in the last bits, so a code bit can differ from it only where
+    an output is within rounding of 0."""
     blocks = _forward_blocks(params, features, batch)
     out = np.empty((params.out_dim, len(features)))
     for start, block in blocks:
@@ -244,6 +269,8 @@ def quantization_gap(params: NetworkParams, features, codes, batch: int = 256) -
     codes = np.asarray(codes, dtype=np.float64)
     n = len(features)
     bits = params.out_dim
+    if n == 0:
+        raise InvalidInput("quantization gap needs at least one sample")
     if codes.shape != (bits, n):
         raise InvalidInput(f"codes shape {codes.shape} does not match ({bits}, {n})")
     total = 0.0

@@ -47,6 +47,14 @@ def test_itq_too_small_for_bits_exits_2(tmp_path, capsys, shape):
     assert "error:" in capsys.readouterr().err
 
 
+def test_write_into_missing_directory_names_the_target(tmp_path, capsys):
+    fpath = tmp_path / "x.hsf"
+    write_features(fpath, np.random.default_rng(0).standard_normal((40, 8)))
+    assert main(["itq", str(fpath), "-o", str(tmp_path / "missing" / "o.hsb"), "--bits", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "missing/o.hsb" in err and ".tmp" not in err
+
+
 def test_train_is_byte_deterministic(tmp_path):
     fpath, lpath, _, _ = two_class_files(tmp_path)
     outs = []

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from hashnet import trainer
 from hashnet.errors import DivergenceError, InvalidInput
 from hashnet.hashloss import Hyperparams
 from hashnet.index import binarize
-from hashnet.network import SgdConfig, forward
+from hashnet.network import Layer, NetworkParams, SgdConfig, forward
 from hashnet.trainer import (
     LabeledFeatures,
     TrainSchedule,
     _batch_indices,
+    _folded,
+    _forward_blocks,
     default_schedule,
     init_network,
     quantization_gap,
@@ -233,6 +236,116 @@ def test_quantization_gap_rejects_zero_block_size():
             update_codes(params, data.features, bad)
     want = quantization_gap(params, data.features, codes, batch=16)
     assert quantization_gap(params, data.features, codes.tolist(), batch=np.int64(16)) == want
+
+
+def test_quantization_gap_rejects_zero_samples():
+    params = init_network(two_cluster_data(n=50).features, 8, 16, np.random.default_rng(7))
+    with pytest.raises(InvalidInput):
+        quantization_gap(params, np.zeros((0, 16)), np.zeros((8, 0)))
+
+
+def blockwise_forward(params, features, batch):
+    """Oracle: `forward` of the unfolded network, block by block."""
+    return np.hstack(
+        [forward(params, features[s : s + batch].T)[0] for s in range(0, len(features), batch)]
+    )
+
+
+def folded_outputs(params, features, batch):
+    return np.hstack([block for _, block in _forward_blocks(params, features, batch)])
+
+
+def same_layers(a, b):
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def random_network(dims, acts, seed=0):
+    rng = np.random.default_rng(seed)
+    return NetworkParams(
+        [
+            Layer(rng.uniform(-0.5, 0.5, (d_out, d_in)), rng.uniform(-0.5, 0.5, d_out), act)
+            for d_in, d_out, act in zip(dims, dims[1:], acts)
+        ]
+    )
+
+
+def test_folded_forward_blocks_match_unfolded_forward():
+    data = two_cluster_data(n=500, d=64)
+    params = init_network(data.features, 32, 64, np.random.default_rng(3))
+    assert params.layers[0].activation == "identity"
+    assert len(_folded(params).layers) == len(params.layers) - 1
+    got = folded_outputs(params, data.features, 64)
+    want = blockwise_forward(params, data.features, 64)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_folded_update_codes_matches_per_sample_oracle():
+    data = two_cluster_data(n=400)
+    params = init_network(data.features, 8, 16, np.random.default_rng(5))
+    assert len(_folded(params).layers) == len(params.layers) - 1
+    codes = update_codes(params, data.features, 16)
+    for i in range(400):
+        out, _ = forward(params, data.features[[i]].T)
+        assert np.array_equal(codes[:, [i]], binarize(out))
+
+
+def test_encoding_leaves_params_bitwise_unchanged():
+    data = two_cluster_data(n=400)
+    params = init_network(data.features, 8, 16, np.random.default_rng(5))
+    before = [(l.weights.copy(), l.bias.copy(), l.activation) for l in params.layers]
+    layers = list(params.layers)
+    codes = update_codes(params, data.features, 64)
+    quantization_gap(params, data.features, codes, batch=64)
+    assert same_layers(params.layers, layers)
+    for layer, (w, b, act) in zip(params.layers, before):
+        assert np.array_equal(layer.weights, w) and np.array_equal(layer.bias, b)
+        assert layer.activation == act
+
+
+def test_fold_does_not_depend_on_the_number_of_samples(monkeypatch):
+    data = two_cluster_data(n=400)
+    params = init_network(data.features, 8, 16, np.random.default_rng(5))
+    depths = []
+
+    def recording_forward(net, x):
+        depths.append(len(net.layers))
+        return forward(net, x)
+
+    monkeypatch.setattr(trainer, "forward", recording_forward)
+    whole = update_codes(params, data.features, 256)
+    for k in (1, 7, 50):
+        assert np.array_equal(update_codes(params, data.features[:k], 256), whole[:, :k])
+    assert depths == [len(params.layers) - 1] * 5
+    x = data.features[:1]
+    assert np.max(np.abs(folded_outputs(params, x, 1) - forward(params, x.T)[0])) <= 1e-12
+
+
+def test_narrowing_identity_layer_is_not_folded():
+    params = random_network([16, 4, 90, 8], ["identity", "sigmoid", "scaled_sigmoid"])
+    x = np.random.default_rng(1).standard_normal((1000, 16))
+    assert same_layers(_folded(params).layers, params.layers)
+    assert np.array_equal(folded_outputs(params, x, 128), blockwise_forward(params, x, 128))
+
+
+def test_consecutive_identity_layers_fold_into_the_next_layer():
+    params = random_network(
+        [16, 16, 16, 90, 8], ["identity", "identity", "sigmoid", "scaled_sigmoid"]
+    )
+    x = np.random.default_rng(2).standard_normal((500, 16))
+    folded = _folded(params)
+    assert [l.activation for l in folded.layers] == ["sigmoid", "scaled_sigmoid"]
+    assert folded.layers[1] is params.layers[3]
+    got = folded_outputs(params, x, 100)
+    assert np.max(np.abs(got - blockwise_forward(params, x, 100))) <= 1e-12
+
+
+def test_trailing_identity_layer_stays():
+    params = random_network([16, 16, 90, 8], ["identity", "sigmoid", "identity"])
+    x = np.random.default_rng(3).standard_normal((500, 16))
+    folded = _folded(params)
+    assert len(folded.layers) == 2 and folded.layers[-1] is params.layers[-1]
+    got = folded_outputs(params, x, 100)
+    assert np.max(np.abs(got - blockwise_forward(params, x, 100))) <= 1e-12
 
 
 def test_labeled_features_validation():
