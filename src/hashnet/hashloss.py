@@ -9,7 +9,9 @@ bit balance (each bit +1 on half the batch).
 
 Terms are normalized per batch (similarity by 1/m^2, quantization by 1/m,
 independence and balance through 1/m inside the squared norm) so the term
-weights mean the same thing at any batch size.  All functions are pure.
+weights mean the same thing at any batch size.  The loss and its gradient
+compute in the dtype of the outputs, float32 or float64 (any other input
+becomes float64).  All functions are pure.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
+from .numerics import as_float
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,8 @@ class Hyperparams:
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise InvalidInput(f"{name} must be finite and non-negative, got {value}")
+            # A numpy float64 weight would widen a float32 loss to float64.
+            object.__setattr__(self, name, float(value))
 
 
 def similarity_matrix(labels_a, labels_b=None) -> np.ndarray:
@@ -52,9 +57,9 @@ def similarity_matrix(labels_a, labels_b=None) -> np.ndarray:
 
 
 def _check_shapes(outputs, codes, sim):
-    outputs = np.asarray(outputs, dtype=np.float64)
-    codes = np.asarray(codes, dtype=np.float64)
-    sim = np.asarray(sim, dtype=np.float64)
+    outputs = as_float(outputs)
+    codes = np.asarray(codes, dtype=outputs.dtype)
+    sim = np.asarray(sim, dtype=outputs.dtype)
     if outputs.ndim != 2 or outputs.shape[1] < 1:
         raise InvalidInput(f"outputs must be a bits x batch matrix, got shape {outputs.shape}")
     if codes.shape != outputs.shape:
@@ -68,12 +73,13 @@ def _check_shapes(outputs, codes, sim):
 def loss_terms_and_grad(outputs, codes, sim, hp: Hyperparams):
     """The four weighted loss terms (similarity, quantization, independence,
     balance) and the gradient of their sum with respect to the outputs,
-    sharing one Gram, one covariance and one row-sum evaluation."""
+    sharing one Gram, one covariance and one row-sum evaluation.  The
+    gradient has the outputs' dtype."""
     outputs, codes, sim = _check_shapes(outputs, codes, sim)
     bits, m = outputs.shape
     gram = outputs.T @ outputs / bits - sim
     diff = outputs - codes
-    cov = outputs @ outputs.T / m - np.eye(bits)
+    cov = outputs @ outputs.T / m - np.eye(bits, dtype=outputs.dtype)
     row_sums = outputs.sum(axis=1)
     row_means = row_sums / m
     terms = (

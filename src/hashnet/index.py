@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, InvalidInput, UndefinedMetric
+from .numerics import as_float
 
 # Lane dtypes, widest first; a code set uses the first that divides its byte length.
 _LANES = tuple(np.dtype(t) for t in (np.uint64, np.uint32, np.uint16, np.uint8))
@@ -34,9 +35,12 @@ _SCAN_ROWS = 2**15
 
 
 def binarize(values) -> np.ndarray:
-    """Entry-wise sign with the tie convention sign(0) = +1."""
-    values = np.asarray(values, dtype=np.float64)
-    return np.where(values >= 0, 1.0, -1.0)
+    """Entry-wise sign with the tie convention sign(0) = +1, as float64
+    +-1; NaN maps to -1."""
+    out = np.greater_equal(as_float(values), 0).astype(np.float64)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ tanh saturates instead of overflowing, so no input needs special casing.
 Samples travel as columns: a batch is a (features x batch) matrix and the
 network output is (code bits x batch).  A NetworkParams instance is mutated
 only by sgd_step; forward passes on it are otherwise read-only.
+
+A network computes in the dtype of its layers, float32 or float64 (any
+other input becomes float64): forward casts its input to it, and every
+tape entry and gradient backward returns has it.  sgd_step updates the
+weights in their own dtype, so float32 gradients can drive float64 master
+weights.
 """
 
 import math
@@ -17,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
+from .numerics import as_float
 
 ACTIVATIONS = ("identity", "sigmoid", "scaled_sigmoid")
 
@@ -37,8 +44,8 @@ class Layer:
     activation: str
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weights = as_float(self.weights)
+        self.bias = np.asarray(self.bias, dtype=self.weights.dtype)
         if self.weights.ndim != 2:
             raise InvalidInput(f"weights must be 2-d, got shape {self.weights.shape}")
         if self.bias.shape != (self.weights.shape[0],):
@@ -64,6 +71,8 @@ class NetworkParams:
     def __post_init__(self):
         if not self.layers:
             raise InvalidInput("a network needs at least one layer")
+        if len({layer.weights.dtype for layer in self.layers}) > 1:
+            raise InvalidInput("all layers of a network must share one dtype")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_dim != nxt.in_dim:
                 raise InvalidInput(
@@ -149,21 +158,24 @@ def _activate(tag: str, z: np.ndarray) -> np.ndarray:
     return t
 
 
-def _activation_grad(tag: str, out: np.ndarray) -> np.ndarray:
-    """Derivative of the activation expressed through its output value."""
+def _through_activation(tag: str, delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """An output gradient carried back through the activation, whose
+    derivative is expressed through its output value.  The identity's
+    derivative is 1, so its gradient passes unchanged."""
     if tag == "identity":
-        return np.ones_like(out)
+        return delta
     if tag == "sigmoid":
-        return out * (1.0 - out)
-    return (1.0 - out * out) / 2.0
+        return delta * (out * (1.0 - out))
+    return delta * ((1.0 - out * out) / 2.0)
 
 
 def forward(params: NetworkParams, X) -> tuple[np.ndarray, ForwardTape]:
     """Run the network on a (features x batch) matrix.
 
-    Returns the output matrix and the tape backward() needs.
+    Returns the output matrix and the tape backward() needs, both in the
+    dtype of the network's layers.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=params.layers[0].weights.dtype)
     if X.ndim != 2 or X.shape[0] != params.in_dim:
         raise InvalidInput(
             f"input shape {X.shape} does not match network input dim {params.in_dim}"
@@ -181,9 +193,10 @@ def backward(params: NetworkParams, tape: ForwardTape, dF) -> list[tuple[np.ndar
     """Backpropagate an output gradient to every weight and bias.
 
     dF is the gradient of a scalar objective with respect to the network
-    output.  Returns (weight grad, bias grad) pairs in layer order.
+    output.  Returns (weight grad, bias grad) pairs in layer order, in the
+    dtype of the network's layers.
     """
-    dF = np.asarray(dF, dtype=np.float64)
+    dF = np.asarray(dF, dtype=params.layers[0].weights.dtype)
     if len(tape.out) != len(params.layers):
         raise InvalidInput("tape does not match the network (layer count differs)")
     for layer, out in zip(params.layers, tape.out):
@@ -194,13 +207,15 @@ def backward(params: NetworkParams, tape: ForwardTape, dF) -> list[tuple[np.ndar
             f"output gradient shape {dF.shape} does not match network output {tape.out[-1].shape}"
         )
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
-    delta = dF * _activation_grad(params.layers[-1].activation, tape.out[-1])
+    delta = _through_activation(params.layers[-1].activation, dF, tape.out[-1])
     for i in range(len(params.layers) - 1, -1, -1):
         below = tape.out[i - 1] if i > 0 else tape.inputs
         grads[i] = (delta @ below.T, delta.sum(axis=1))
         if i > 0:
-            delta = (params.layers[i].weights.T @ delta) * _activation_grad(
-                params.layers[i - 1].activation, tape.out[i - 1]
+            delta = _through_activation(
+                params.layers[i - 1].activation,
+                params.layers[i].weights.T @ delta,
+                tape.out[i - 1],
             )
     return grads
 
@@ -214,7 +229,8 @@ def sgd_step(params: NetworkParams, grads, cfg: SgdConfig, velocity) -> NetworkP
     """One momentum SGD update, in place.
 
     v <- momentum * v - lr * (grad + weight_decay * weight); weight += v.
-    Weight decay applies to weights only, never biases.
+    Weight decay applies to weights only, never biases.  The update runs in
+    the dtype of the weights and velocity, whatever the gradients' dtype.
     """
     if len(grads) != len(params.layers) or len(velocity) != len(params.layers):
         raise InvalidInput("gradient or velocity buffers do not match the network")
@@ -225,6 +241,9 @@ def sgd_step(params: NetworkParams, grads, cfg: SgdConfig, velocity) -> NetworkP
         vw -= cfg.learning_rate * (dw + cfg.weight_decay * layer.weights)
         layer.weights += vw
         vb *= cfg.momentum
-        vb -= cfg.learning_rate * db
+        # weight_decay * weights already widens the weight term; a float32
+        # bias gradient is widened before lr scales it, or lr * db would
+        # round in float32.
+        vb -= cfg.learning_rate * db.astype(vb.dtype, copy=False)
         layer.bias += vb
     return params

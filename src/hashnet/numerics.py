@@ -1,4 +1,5 @@
-"""Symmetric eigendecomposition and orthogonal alignment on float64 arrays.
+"""Symmetric eigendecomposition and orthogonal alignment on float64 arrays,
+and the float dtype rule the network, the loss and binarization share.
 
 Both routines are deterministic: eigenvalues come back in descending order
 and eigenvector signs follow a fixed convention, so repeated runs on the
@@ -19,6 +20,16 @@ SYMMETRY_TOL = 1e-10
 class EigenDecomposition(NamedTuple):
     values: np.ndarray   # eigenvalues, descending
     vectors: np.ndarray  # orthonormal columns, column i pairs with values[i]
+
+
+def as_float(a) -> np.ndarray:
+    """`a` as a float32 array if it already is one, else as a float64 array.
+
+    These are the two dtypes the network and the loss compute in; float64
+    input comes back without a copy.
+    """
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
 
 
 def _as_square(a, name: str) -> np.ndarray:

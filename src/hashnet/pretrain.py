@@ -33,6 +33,14 @@ class PcaModel:
         """Bias that centers projected data: -projection @ mean."""
         return -(self.projection @ self.mean)
 
+    def leading(self, p: int) -> "PcaModel":
+        """The top-p components of this model: what pca_fit(features, p)
+        returns for the same features, bit for bit, without a second
+        eigendecomposition."""
+        if not 1 <= p <= len(self.eigenvalues):
+            raise InvalidInput(f"target dim {p} must be in 1..{len(self.eigenvalues)}")
+        return PcaModel(self.projection[:p].copy(), self.mean, self.eigenvalues[:p].copy())
+
     def dr_layer(self) -> Layer:
         """The induced dimension-reduction layer (identity activation)."""
         return Layer(self.projection.copy(), self.bias, "identity")
@@ -102,10 +110,12 @@ def itq(projected, iters: int, seed: int, init_rotation=None) -> ItqResult:
             raise InvalidInput(f"initial rotation must be {bits} x {bits}")
     trace = np.empty(iters)
     codes = None
+    projected = v @ rotation
     for i in range(iters):
-        codes = binarize(v @ rotation)
+        codes = binarize(projected)
         rotation = procrustes_rotation(v.T @ codes)
-        resid = codes - v @ rotation
+        projected = v @ rotation  # this iteration's residual and the next one's codes
+        resid = codes - projected
         trace[i] = float(np.sum(resid * resid))
     return ItqResult(rotation=rotation, codes=codes.T, objective_trace=trace)
 
@@ -115,6 +125,12 @@ def init_binary_codes(features, bits: int, seed: int, iters: int = 50) -> ItqRes
     PCA projection of the features.  The result's codes are a (bits x n)
     matrix of +-1."""
     x = np.asarray(features, dtype=np.float64)
+    _check_code_shape(x, bits)
+    return itq(pca_fit(x, bits).transform(x), iters=iters, seed=seed)
+
+
+def _check_code_shape(x: np.ndarray, bits: int) -> None:
+    """Reject (n x d) features too small for ITQ to give them bits-bit codes."""
     if x.ndim != 2 or x.shape[0] < bits:
         raise InvalidInput(
             f"need at least {bits} samples for {bits}-bit codes, got shape {x.shape}"
@@ -123,5 +139,3 @@ def init_binary_codes(features, bits: int, seed: int, iters: int = 50) -> ItqRes
         raise InvalidInput(
             f"{bits}-bit codes need at least {bits} feature dimensions, got {x.shape[1]}"
         )
-    model = pca_fit(x, bits)
-    return itq(model.transform(x), iters=iters, seed=seed)

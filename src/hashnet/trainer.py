@@ -6,6 +6,12 @@ of the network output over the whole training set.  Batches come from a
 seeded epoch shuffle, so every sample is visited exactly once per pass and
 every artifact (loss history, parameters, codes) is reproducible bitwise
 for a fixed seed.
+
+Training computes in float32 against float64 master weights: each step
+runs forward, loss and backward on a float32 copy of the network and
+applies the float32 gradients to the float64 weights in float64, and each
+code refresh encodes through a float32 copy.  The returned parameters, and
+so the model file and encoding with it, stay float64.
 """
 
 import math
@@ -27,7 +33,8 @@ from .network import (
     sgd_step,
     zero_velocity,
 )
-from .pretrain import init_binary_codes, pca_fit
+from .numerics import as_float
+from .pretrain import PcaModel, _check_code_shape, itq, pca_fit
 
 # Abort when a batch loss exceeds this multiple of the first batch loss.
 DIVERGENCE_FACTOR = 1e6
@@ -125,21 +132,39 @@ def init_network(
     The reduction width is capped at the feature dimension.
     """
     features = np.asarray(features, dtype=np.float64)
+    p = _reduction_width(bits, dr_dim, features.shape[1])
+    return _network_on(pca_fit(features, p), bits, rng)
+
+
+def _reduction_width(bits: int, dr_dim: int, dim: int) -> int:
     if bits < 1:
         raise InvalidInput(f"code length must be >= 1, got {bits}")
     if dr_dim < 1:
         raise InvalidInput(f"reduction dim must be >= 1, got {dr_dim}")
-    p = min(dr_dim, features.shape[1])
-    dr = pca_fit(features, p).dr_layer()
-    head = init_head_layers(p, head_spec_for(bits), rng)
-    return NetworkParams([dr] + head)
+    return min(dr_dim, dim)
+
+
+def _network_on(pca: PcaModel, bits: int, rng: np.random.Generator) -> NetworkParams:
+    """The PCA reduction layer followed by a randomly initialized head."""
+    head = init_head_layers(len(pca.eigenvalues), head_spec_for(bits), rng)
+    return NetworkParams([pca.dr_layer()] + head)
+
+
+def _float32_copy(params: NetworkParams) -> NetworkParams:
+    """The network with its weights and biases rounded to float32."""
+    return NetworkParams(
+        [
+            Layer(l.weights.astype(np.float32), l.bias.astype(np.float32), l.activation)
+            for l in params.layers
+        ]
+    )
 
 
 def _forward_blocks(params: NetworkParams, features, batch: int):
     """Check (n x d) features and a block size, then return an iterator of
     (start, outputs) pairs: the network outputs (bits x block) for the
     samples from start on, in column blocks of at most `batch`."""
-    features = np.asarray(features, dtype=np.float64)
+    features = as_float(features)
     if features.ndim != 2 or features.shape[1] != params.in_dim:
         raise InvalidInput(
             f"features shape {features.shape} does not match network input dim {params.in_dim}"
@@ -214,20 +239,31 @@ def train(
     Flow: build the network (PCA reduction layer + random head), start the
     binary codes from ITQ, then for each outer round run `sched.inner`
     minibatch SGD steps against the frozen codes and re-binarize the codes
-    from the updated network.  Raises DivergenceError if a batch loss goes
-    non-finite or explodes past 1e6 times the first positive batch loss.
+    from the updated network.  One PCA serves both the reduction layer and
+    ITQ.  Raises DivergenceError if a batch loss goes non-finite or
+    explodes past 1e6 times the first positive batch loss.
+
+    Steps and code refreshes compute in float32 on a float32 copy of the
+    features and of the network; the SGD update applies their gradients to
+    float64 master weights in float64.  The returned parameters are
+    float64, so the model file and `encode` stay float64, and the codes
+    are float64 +-1.
     """
-    if bits < 1:
-        raise InvalidInput(f"code length must be >= 1, got {bits}")
+    p = _reduction_width(bits, dr_dim, data.dim)
     if np.unique(np.asarray(data.labels)).size < 2:
         raise InvalidInput("training data must contain at least 2 classes")
     if sched.batch > data.n:
         raise InvalidInput(f"batch size {sched.batch} exceeds sample count {data.n}")
+    _check_code_shape(data.features, bits)
 
     rng = np.random.default_rng(sched.seed)
-    params = init_network(data.features, bits, dr_dim, rng)
+    pca = pca_fit(data.features, max(p, bits))
+    params = _network_on(pca.leading(p), bits, rng)
     itq_seed = int(rng.integers(0, 2**63))
-    codes = init_binary_codes(data.features, bits, itq_seed, iters=itq_iters).codes
+    codes = itq(pca.leading(bits).transform(data.features), iters=itq_iters, seed=itq_seed).codes
+    # Made after the PCA and ITQ temporaries are freed, so it adds nothing
+    # to the peak; exact for features read from HSF1, which stores float32.
+    features32 = data.features.astype(np.float32)
 
     velocity = zero_velocity(params)
     history: list[BatchRecord] = []
@@ -239,10 +275,11 @@ def train(
     for k in range(1, sched.outer + 1):
         for t in range(1, sched.inner + 1):
             order, pos, idx = _batch_indices(order, pos, sched.batch, rng)
-            batch_x = data.features[idx].T
+            batch_x = features32[idx].T
             batch_sim = similarity_matrix(labels[idx])
             batch_codes = codes[:, idx]
-            outputs, tape = forward(params, batch_x)
+            compute = _float32_copy(params)
+            outputs, tape = forward(compute, batch_x)
             terms, grad = loss_terms_and_grad(outputs, batch_codes, batch_sim, hp)
             total = float(sum(terms))
             if not np.isfinite(total) or (
@@ -253,9 +290,9 @@ def train(
                 )
             if first_total is None and total > 0:
                 first_total = total
-            sgd_step(params, backward(params, tape, grad), sgd, velocity)
+            sgd_step(params, backward(compute, tape, grad), sgd, velocity)
             history.append(BatchRecord(k, t, total, *terms))
-        codes = update_codes(params, data.features, sched.batch)
+        codes = update_codes(_float32_copy(params), features32, sched.batch)
 
     return TrainState(
         params=params, codes=codes, history=history, outer=sched.outer, inner=sched.inner

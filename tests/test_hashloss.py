@@ -1,8 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hashnet.errors import InvalidInput
-from hashnet.hashloss import Hyperparams, loss, loss_grad, loss_terms, similarity_matrix
+from hashnet.hashloss import (
+    Hyperparams,
+    loss,
+    loss_grad,
+    loss_terms,
+    loss_terms_and_grad,
+    similarity_matrix,
+)
 
 
 def similarity_oracle(labels_a, labels_b):
@@ -196,3 +205,73 @@ def test_hyperparams_reject_negative():
         Hyperparams(alpha=-0.1)
     with pytest.raises(InvalidInput):
         Hyperparams(gamma=float("nan"))
+
+
+# Tolerance of the float32 loss against float64, fixed from float32's unit
+# roundoff (6e-8) with headroom for the Gram and covariance sums: every term
+# within 1e-5 of the float64 total, the gradient within 1e-5 of its largest
+# float64 entry.
+LOSS_RTOL = 1e-5
+
+
+def reference_terms_and_grad(F, B, S, hp):
+    """The float64-only loss and gradient that the dtype-generic one
+    replaced, with every array in F's dtype."""
+    B, S = (np.asarray(a, dtype=F.dtype) for a in (B, S))
+    bits, m = F.shape
+    gram = F.T @ F / bits - S
+    diff = F - B
+    cov = F @ F.T / m - np.eye(bits, dtype=F.dtype)
+    row_sums = F.sum(axis=1)
+    row_means = row_sums / m
+    terms = (
+        hp.alpha / (2.0 * m * m) * float(np.sum(gram * gram)),
+        hp.beta / (2.0 * m) * float(np.sum(diff * diff)),
+        hp.theta / 2.0 * float(np.sum(cov * cov)),
+        hp.gamma / 2.0 * float(np.sum(row_means * row_means)),
+    )
+    grad = (2.0 * hp.alpha / (m * m * bits)) * (F @ gram)
+    grad += (hp.beta / m) * diff
+    grad += (2.0 * hp.theta / m) * (cov @ F)
+    grad += (hp.gamma / (m * m)) * row_sums[:, None]
+    return terms, grad
+
+
+def float_loss_case(seed, L=32, m=64):
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(-0.95, 0.95, size=(L, m))
+    B = np.where(rng.standard_normal((L, m)) >= 0, 1.0, -1.0)
+    S = similarity_matrix(rng.integers(0, 5, size=m))
+    return F, B, S, Hyperparams(*rng.uniform(0.1, 1, size=4))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_float32_loss_agrees_with_float64(seed):
+    F, B, S, hp = float_loss_case(seed)
+    terms64, grad64 = loss_terms_and_grad(F, B, S, hp)
+    terms32, grad32 = loss_terms_and_grad(F.astype(np.float32), B, S, hp)
+    assert all(abs(a - b) <= LOSS_RTOL * sum(terms64) for a, b in zip(terms32, terms64))
+    assert np.max(np.abs(grad32 - grad64)) <= LOSS_RTOL * np.max(np.abs(grad64))
+
+
+def test_float32_loss_never_upcasts():
+    F, B, S, hp = float_loss_case(0)
+    assert all(type(getattr(hp, k)) is float for k in ("alpha", "beta", "theta", "gamma"))
+    terms, grad = loss_terms_and_grad(F.astype(np.float32), B, S, hp)
+    assert grad.dtype == np.float32
+    # A float64 constant would widen an intermediate and round back into the
+    # float32 gradient in place, unseen by its dtype; the bits show it.
+    want_terms, want_grad = reference_terms_and_grad(F.astype(np.float32), B, S, hp)
+    assert terms == want_terms and grad.tobytes() == want_grad.tobytes()
+    assert loss_grad(F.astype(np.float16), B, S, hp).dtype == np.float64
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_float64_loss_is_bitwise_unchanged(seed):
+    F, B, S, _ = float_loss_case(seed, L=int(seed) + 3, m=2 * int(seed) + 5)
+    raw = np.random.default_rng(seed).uniform(0.1, 1, size=4)  # numpy float64 weights
+    terms, grad = loss_terms_and_grad(F, B.tolist(), S.astype(int), Hyperparams(*raw))
+    parent_hp = SimpleNamespace(**dict(zip(("alpha", "beta", "theta", "gamma"), raw)))
+    want_terms, want_grad = reference_terms_and_grad(F, B, S, parent_hp)
+    assert grad.dtype == np.float64
+    assert terms == want_terms and grad.tobytes() == want_grad.tobytes()

@@ -328,3 +328,24 @@ def test_map_excludes_queries_without_relevant_items():
 def test_map_undefined_when_nothing_relevant():
     with pytest.raises(UndefinedMetric):
         mean_average_precision([[(0, 0)]], [5], [1])
+
+
+def test_binarize_matches_where_oracle():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    tiny32 = np.finfo(np.float32).smallest_subnormal
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310]
+    rng = np.random.default_rng(4)
+    cases = [
+        np.array(special),
+        np.array(special, dtype=np.float32),
+        np.array([tiny32, -tiny32, 0.0, -0.0], dtype=np.float32),
+        rng.standard_normal((37, 11)),
+        rng.standard_normal((8, 300)).astype(np.float32),
+        np.array([[3, -2, 0]]),
+        [[0.5, -0.5], [0.0, -0.0]],
+    ]
+    for values in cases:
+        got = binarize(values)
+        want = np.where(np.asarray(values, dtype=np.float64) >= 0, 1.0, -1.0)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -299,3 +299,150 @@ def test_sgd_config_validation():
     with pytest.raises(InvalidInput):
         SgdConfig(weight_decay=-0.1)
     SgdConfig(learning_rate=0.0)  # zero step allowed for frozen-network runs
+
+
+# Tolerances of the float32 path against float64, fixed from float32's unit
+# roundoff (6e-8) with headroom for the sums and layers in between: outputs
+# within 1e-5 and weight and bias gradients within 1e-4 of the largest
+# float64 entry.
+FORWARD_RTOL = 1e-5
+BACKWARD_RTOL = 1e-4
+ACTS = ["identity", "sigmoid", "scaled_sigmoid"]
+
+
+def as_float32(params):
+    return NetworkParams(
+        [
+            Layer(l.weights.astype(np.float32), l.bias.astype(np.float32), l.activation)
+            for l in params.layers
+        ]
+    )
+
+
+def reference_forward(params, X):
+    """The float64-only forward pass that the dtype-generic one replaced."""
+    a = np.asarray(X, dtype=np.float64)
+    outs = []
+    for layer in params.layers:
+        z = layer.weights @ a + layer.bias[:, None]
+        if layer.activation != "identity":
+            t = np.tanh(z / 2.0)
+            z = 0.5 * (1.0 + t) if layer.activation == "sigmoid" else t
+        a = z
+        outs.append(a)
+    return outs
+
+
+def reference_backward(params, X, outs, dF):
+    """The float64-only backward pass that the dtype-generic one replaced,
+    multiplying by an all-ones derivative for identity layers."""
+
+    def act_grad(tag, out):
+        if tag == "identity":
+            return np.ones_like(out)
+        if tag == "sigmoid":
+            return out * (1.0 - out)
+        return (1.0 - out * out) / 2.0
+
+    grads = [None] * len(params.layers)
+    delta = np.asarray(dF, dtype=np.float64) * act_grad(params.layers[-1].activation, outs[-1])
+    for i in range(len(params.layers) - 1, -1, -1):
+        below = outs[i - 1] if i > 0 else X
+        grads[i] = (delta @ below.T, delta.sum(axis=1))
+        if i > 0:
+            delta = (params.layers[i].weights.T @ delta) * act_grad(
+                params.layers[i - 1].activation, outs[i - 1]
+            )
+    return grads
+
+
+def float_net_case(seed):
+    rng = np.random.default_rng(seed)
+    dims = [64, 32, 40, 20, 8]
+    acts = ["identity", "sigmoid", "sigmoid", "scaled_sigmoid"]
+    params = random_net(rng, dims, acts)
+    X = rng.standard_normal((64, 50))
+    B = np.where(rng.standard_normal((8, 50)) >= 0, 1.0, -1.0)
+    S = similarity_matrix(rng.integers(0, 3, size=50))
+    # numpy float64 weights, which must not widen a float32 loss
+    hp = Hyperparams(*rng.uniform(0.1, 1, size=4))
+    return params, X, B, S, hp
+
+
+def test_layer_keeps_float32_and_widens_other_dtypes():
+    f32 = Layer(np.ones((2, 3), dtype=np.float32), np.zeros(2), "sigmoid")
+    assert f32.weights.dtype == np.float32 and f32.bias.dtype == np.float32
+    for weights in (np.ones((2, 3), dtype=np.float16), np.ones((2, 3), dtype=int), [[1, 2, 3]] * 2):
+        layer = Layer(weights, np.zeros(2, dtype=np.float32), "sigmoid")
+        assert layer.weights.dtype == np.float64 and layer.bias.dtype == np.float64
+
+
+def test_network_rejects_layers_of_mixed_dtypes():
+    with pytest.raises(InvalidInput):
+        NetworkParams(
+            [
+                Layer(np.eye(3, dtype=np.float32), np.zeros(3), "identity"),
+                Layer(np.ones((2, 3)), np.zeros(2), "sigmoid"),
+            ]
+        )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_float32_step_agrees_with_float64(seed):
+    params, X, B, S, hp = float_net_case(seed)
+    F64, tape64 = forward(params, X)
+    grads64 = backward(params, tape64, loss_grad(F64, B, S, hp))
+    net32 = as_float32(params)
+    F32, tape32 = forward(net32, X.astype(np.float32))
+    grads32 = backward(net32, tape32, loss_grad(F32, B, S, hp))
+    assert np.max(np.abs(F32 - F64)) <= FORWARD_RTOL * np.max(np.abs(F64))
+    for (dw32, db32), (dw64, db64) in zip(grads32, grads64):
+        assert np.max(np.abs(dw32 - dw64)) <= BACKWARD_RTOL * np.max(np.abs(dw64))
+        assert np.max(np.abs(db32 - db64)) <= BACKWARD_RTOL * np.max(np.abs(db64))
+
+
+def test_float32_step_never_upcasts():
+    params, X, B, S, hp = float_net_case(0)
+    net32 = as_float32(params)
+    F, tape = forward(net32, X)  # float64 input is cast to the layers' dtype
+    grad = loss_grad(F, B, S, hp)  # float64 codes and similarity
+    grads = backward(net32, tape, grad.astype(np.float64))
+    assert F.dtype == tape.inputs.dtype == grad.dtype == np.float32
+    assert all(out.dtype == np.float32 for out in tape.out)
+    assert all(dw.dtype == db.dtype == np.float32 for dw, db in grads)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_float64_forward_and_backward_are_bitwise_unchanged(seed):
+    rng = np.random.default_rng(seed)
+    n_layers = int(rng.integers(1, 5))
+    dims = [int(rng.integers(1, 20)) for _ in range(n_layers + 1)]
+    acts = [str(rng.choice(ACTS)) for _ in range(n_layers)]
+    params = random_net(rng, dims, acts)
+    X = rng.standard_normal((dims[0], int(rng.integers(1, 30))))
+    F, tape = forward(params, X)
+    dF = rng.standard_normal(F.shape)
+    outs = reference_forward(params, X)
+    assert F.dtype == np.float64
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(tape.out, outs))
+    for (dw, db), (ew, eb) in zip(backward(params, tape, dF), reference_backward(params, X, outs, dF)):
+        assert dw.dtype == db.dtype == np.float64
+        assert dw.tobytes() == ew.tobytes() and db.tobytes() == eb.tobytes()
+
+
+def test_sgd_step_applies_float32_gradients_in_float64():
+    # lr * db must not round in float32 before it reaches float64 weights.
+    rng = np.random.default_rng(8)
+    params = random_net(rng, [5, 3], ["scaled_sigmoid"])
+    twin = random_net(np.random.default_rng(8), [5, 3], ["scaled_sigmoid"])
+    grads32 = [(rng.standard_normal((3, 5)).astype(np.float32), rng.standard_normal(3).astype(np.float32))]
+    grads64 = [(dw.astype(np.float64), db.astype(np.float64)) for dw, db in grads32]
+    cfg = SgdConfig(learning_rate=1e-4, weight_decay=0.0, momentum=0.9)
+    sgd_step(params, grads32, cfg, zero_velocity(params))
+    sgd_step(twin, grads64, cfg, zero_velocity(twin))
+    for got, want in zip(params.layers, twin.layers):
+        assert got.weights.dtype == got.bias.dtype == np.float64
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+    rounded = (1e-4 * grads32[0][1]).astype(np.float64)
+    assert not np.array_equal(rounded, 1e-4 * grads64[0][1])  # the case tells them apart

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hashnet.errors import InvalidInput
-from hashnet.pretrain import init_binary_codes, itq, pca_fit
+from hashnet.numerics import procrustes_rotation
+from hashnet.pretrain import init_binary_codes, itq, pca_fit, random_rotation
 
 
 def corners(reps=1):
@@ -155,3 +156,45 @@ def test_init_binary_codes_single_bit_separates_clusters():
 def test_init_binary_codes_rejects_small_n():
     with pytest.raises(InvalidInput):
         init_binary_codes(np.zeros((3, 8)), 4, seed=0)
+
+
+def test_leading_components_equal_separate_fits():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((200, 12)) @ rng.standard_normal((12, 12))
+    full = pca_fit(x, 10)
+    for p in range(1, 11):
+        got, want = full.leading(p), pca_fit(x, p)
+        assert got.projection.tobytes() == want.projection.tobytes()
+        assert got.projection.flags.c_contiguous and got.projection.shape == (p, 12)
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+        assert got.transform(x).tobytes() == want.transform(x).tobytes()
+    for bad in (0, 11):
+        with pytest.raises(InvalidInput):
+            full.leading(bad)
+
+
+def unshared_itq_loop(v, iters, rotation):
+    """ITQ as it was written before the product v @ rotation was carried to
+    the next iteration."""
+    trace = np.empty(iters)
+    for i in range(iters):
+        codes = np.where(v @ rotation >= 0, 1.0, -1.0)
+        rotation = procrustes_rotation(v.T @ codes)
+        resid = codes - v @ rotation
+        trace[i] = float(np.sum(resid * resid))
+    return rotation, codes.T, trace
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_itq_matches_unshared_loop(seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((120, int(rng.integers(1, 17))))
+    v -= v.mean(axis=0)
+    iters = int(rng.integers(1, 30))
+    res = itq(v, iters=iters, seed=seed)
+    rotation, codes, trace = unshared_itq_loop(v, iters, random_rotation(v.shape[1], seed))
+    assert res.rotation.tobytes() == rotation.tobytes()
+    assert res.codes.tobytes() == codes.tobytes()
+    assert res.objective_trace.tobytes() == trace.tobytes()

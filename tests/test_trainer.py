@@ -6,6 +6,7 @@ from hashnet.errors import DivergenceError, InvalidInput
 from hashnet.hashloss import Hyperparams
 from hashnet.index import binarize
 from hashnet.network import Layer, NetworkParams, SgdConfig, forward
+from hashnet.pretrain import init_binary_codes
 from hashnet.trainer import (
     LabeledFeatures,
     TrainSchedule,
@@ -144,11 +145,11 @@ def test_train_deterministic_for_fixed_seed():
     sched = TrainSchedule(outer=2, inner=4, batch=32, seed=11)
     a = train(data, 8, Hyperparams(), sched, SgdConfig())
     b = train(data, 8, Hyperparams(), sched, SgdConfig())
-    assert np.array_equal(a.codes, b.codes)
-    assert [r.total for r in a.history] == [r.total for r in b.history]
+    assert a.codes.tobytes() == b.codes.tobytes()
+    assert a.history == b.history
     for la, lb in zip(a.params.layers, b.params.layers):
-        assert np.array_equal(la.weights, lb.weights)
-        assert np.array_equal(la.bias, lb.bias)
+        assert la.weights.tobytes() == lb.weights.tobytes()
+        assert la.bias.tobytes() == lb.bias.tobytes()
 
 
 def test_train_rejects_single_class():
@@ -353,3 +354,77 @@ def test_labeled_features_validation():
         LabeledFeatures(np.zeros((4, 2)), np.zeros(3, dtype=int))
     with pytest.raises(InvalidInput):
         LabeledFeatures(np.full((4, 2), np.nan), np.zeros(4, dtype=int))
+
+
+def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
+    seen = {"forward": [], "backward": [], "loss": [], "sgd": [], "refresh": []}
+    real = {name: getattr(trainer, name) for name in
+            ("forward", "backward", "loss_terms_and_grad", "sgd_step", "update_codes")}
+
+    def forward32(net, x):
+        out, tape = real["forward"](net, x)
+        seen["forward"] += [x.dtype, tape.inputs.dtype] + [a.dtype for a in tape.out]
+        return out, tape
+
+    def backward32(net, tape, grad):
+        grads = real["backward"](net, tape, grad)
+        seen["backward"] += [g.dtype for pair in grads for g in pair]
+        return grads
+
+    def loss32(outputs, codes, sim, hp):
+        terms, grad = real["loss_terms_and_grad"](outputs, codes, sim, hp)
+        seen["loss"] += [outputs.dtype, grad.dtype]
+        return terms, grad
+
+    def sgd64(params, grads, cfg, velocity):
+        seen["sgd"] += [l.weights.dtype for l in params.layers]
+        seen["sgd"] += [v.dtype for pair in velocity for v in pair]
+        return real["sgd_step"](params, grads, cfg, velocity)
+
+    def refresh32(net, features, batch):
+        seen["refresh"] += [features.dtype] + [l.weights.dtype for l in net.layers]
+        return real["update_codes"](net, features, batch)
+
+    for name, fake in (("forward", forward32), ("backward", backward32),
+                       ("loss_terms_and_grad", loss32), ("sgd_step", sgd64),
+                       ("update_codes", refresh32)):
+        monkeypatch.setattr(trainer, name, fake)
+    data = two_cluster_data(n=128)
+    state = train(data, 8, Hyperparams(alpha=np.float64(0.3)),
+                  TrainSchedule(outer=2, inner=3, batch=32, seed=4), SgdConfig())
+    for key in ("forward", "backward", "loss", "refresh"):
+        assert seen[key] and set(seen[key]) == {np.dtype(np.float32)}, key
+    assert seen["sgd"] and set(seen["sgd"]) == {np.dtype(np.float64)}
+    assert all(l.weights.dtype == l.bias.dtype == np.float64 for l in state.params.layers)
+    assert state.codes.dtype == np.float64 and np.all(np.abs(state.codes) == 1.0)
+    assert all(type(r.total) is float for r in state.history)
+
+
+def test_train_fits_one_pca_for_the_network_and_itq(monkeypatch):
+    fits, starts = [], []
+    real_fit, real_itq = trainer.pca_fit, trainer.itq
+
+    def counting_fit(features, p):
+        fits.append(p)
+        return real_fit(features, p)
+
+    def recording_itq(projected, iters, seed):
+        starts.append((seed, real_itq(projected, iters=iters, seed=seed)))
+        return starts[-1][1]
+
+    monkeypatch.setattr(trainer, "pca_fit", counting_fit)
+    monkeypatch.setattr(trainer, "itq", recording_itq)
+    data = two_cluster_data(n=64)
+    for dr_dim, fit in ((6, 8), (12, 12), (800, 16)):  # fit max(min(dr_dim, d), bits)
+        fits.clear()
+        sched = TrainSchedule(outer=1, inner=1, batch=32, seed=9)
+        state = train(data, 8, Hyperparams(), sched, SgdConfig(learning_rate=0.0), dr_dim=dr_dim)
+        assert fits == [fit]
+        reduction = real_fit(data.features, min(dr_dim, 16)).dr_layer()
+        assert state.params.layers[0].weights.tobytes() == reduction.weights.tobytes()
+        assert state.params.layers[0].bias.tobytes() == reduction.bias.tobytes()
+        seed, start = starts[-1]
+        want = init_binary_codes(data.features, 8, seed)
+        assert start.codes.tobytes() == want.codes.tobytes()
+        assert start.rotation.tobytes() == want.rotation.tobytes()
+        assert start.objective_trace.tobytes() == want.objective_trace.tobytes()
