@@ -10,8 +10,10 @@ plus a JSON model document holding layer dimensions, activation tags, and
 base64 little-endian f64 weight/bias payloads.  Readers reject wrong magic,
 truncation, trailing bytes, and non-finite floats with a message naming the
 file and byte offset, and check a declared length against the file size
-before reading it.  Writers are deterministic: the same inputs produce
-identical bytes, and a file is replaced whole or not at all.
+before reading it.  Features stay float32 from the file on: read_features
+returns the stored values in the buffer it reads them into, with no widened
+copy.  Writers are deterministic: the same inputs produce identical bytes,
+and a file is replaced whole or not at all.
 """
 
 import base64
@@ -28,6 +30,7 @@ import numpy as np
 from .errors import FormatError, InvalidInput
 from .index import PackedCodes
 from .network import Layer, NetworkParams
+from .numerics import as_float
 
 FEATURES_MAGIC = b"HSF1"
 LABELS_MAGIC = b"HSL1"
@@ -38,11 +41,13 @@ MODEL_VERSION = 1
 _U32_MAX = 2**32 - 1
 
 
-def _read(path, magic: bytes, fields: tuple, payload_size):
+def _read(path, magic: bytes, fields: tuple, payload_size, writable: bool = False):
     """Read a container: `magic`, one u32 per name in `fields`, then a
     payload of payload_size(*header) bytes.  The declared size is checked
     against the file size before the payload is read, so a forged header
-    cannot cause a large allocation.  Returns the header and the payload."""
+    cannot cause a large allocation.  Returns the header and the payload:
+    bytes, or with `writable` a bytearray the payload is read straight
+    into."""
     try:
         with open(path, "rb") as f:
             st = os.fstat(f.fileno())
@@ -59,7 +64,11 @@ def _read(path, magic: bytes, fields: tuple, payload_size):
                 raise FormatError(f"{path}: truncated header at offset {len(head)}: {fields}")
             header = struct.unpack(f"<{len(fields)}I", head[4:])
             count = payload_size(*header)
-            payload = f.read(count) if size - len(head) == count else b""
+            payload = b""
+            if size - len(head) == count:
+                payload = bytearray(count) if writable else f.read(count)
+                if writable and f.readinto(payload) != count:
+                    payload = b""
     except OSError as exc:
         raise FormatError(f"{path}: cannot read file: {exc}") from None
     if len(payload) != count or size - len(head) != count:
@@ -99,12 +108,12 @@ def atomic_write(path, mode: str, **kwargs):
 
 def write_features(path, features):
     """Write an (n x d) matrix as an HSF1 file (32-bit floats on disk)."""
-    x = np.asarray(features, dtype=np.float64)
+    x = as_float(features)
     if x.ndim != 2:
         raise InvalidInput(f"features must be 2-d, got shape {x.shape}")
     if x.shape[0] > _U32_MAX or x.shape[1] > _U32_MAX:
         raise InvalidInput("feature matrix too large for the file header")
-    as_f32 = x.astype("<f4", order="C")
+    as_f32 = np.ascontiguousarray(x, dtype="<f4")
     if x.size and not np.all(np.isfinite(as_f32)):
         raise InvalidInput("features must be finite (and within float32 range)")
     with atomic_write(path, "wb") as f:
@@ -113,15 +122,17 @@ def write_features(path, features):
 
 
 def read_features(path) -> np.ndarray:
-    """Read an HSF1 file into an (n x d) float64 matrix."""
+    """Read an HSF1 file into a writable (n x d) float32 matrix: the stored
+    values as they are, in the one buffer the payload is read into."""
     (n, d), raw = _read(path, FEATURES_MAGIC, ("sample count", "feature dim"),
-                        lambda n, d: 4 * n * d)
-    values = np.frombuffer(raw, dtype="<f4")
+                        lambda n, d: 4 * n * d, writable=True)
+    # native float32: no copy, except on a big-endian machine
+    values = np.frombuffer(raw, dtype="<f4").astype(np.float32, copy=False)
     finite = np.isfinite(values)
     if not np.all(finite):
         bad = int(np.argmin(finite))
         raise FormatError(f"{path}: non-finite float at offset {12 + 4 * bad}")
-    return values.astype(np.float64).reshape(n, d)
+    return values.reshape(n, d)
 
 
 def write_labels(path, labels):

@@ -46,14 +46,27 @@ def similarity_matrix(labels_a, labels_b=None) -> np.ndarray:
     Labels must be non-negative integers.  With one argument the matrix is
     square, symmetric, and has a unit diagonal.
     """
-    la = np.asarray(labels_a)
-    lb = la if labels_b is None else np.asarray(labels_b)
-    for side in (la, lb):
-        if side.ndim != 1 or side.size == 0:
-            raise InvalidInput("labels must be a non-empty 1-d sequence")
-        if not np.issubdtype(side.dtype, np.integer) or np.any(side < 0):
-            raise InvalidInput("labels must be non-negative integers")
-    return np.where(la[:, None] == lb[None, :], 1.0, -1.0)
+    la = _check_labels(labels_a)
+    lb = la if labels_b is None else _check_labels(labels_b)
+    return _pair_signs(la, lb, np.float64)
+
+
+def _check_labels(labels) -> np.ndarray:
+    """`labels` as an array, if they are a non-empty 1-d sequence of
+    non-negative integers; raises InvalidInput otherwise."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size == 0:
+        raise InvalidInput("labels must be a non-empty 1-d sequence")
+    if not np.issubdtype(labels.dtype, np.integer) or np.any(labels < 0):
+        raise InvalidInput("labels must be non-negative integers")
+    return labels
+
+
+def _pair_signs(la: np.ndarray, lb: np.ndarray, dtype) -> np.ndarray:
+    """The similarity matrix of two checked label vectors in `dtype`,
+    without checking them again."""
+    one = np.ones((), dtype=dtype)
+    return np.where(la[:, None] == lb[None, :], one, -one)
 
 
 def _check_shapes(outputs, codes, sim):

@@ -149,13 +149,17 @@ def init_head_layers(in_dim: int, spec: HeadSpec, rng: np.random.Generator) -> l
     return layers
 
 
-def _activate(tag: str, z: np.ndarray) -> np.ndarray:
-    if tag == "identity":
-        return z
-    t = np.tanh(z / 2.0)
-    if tag == "sigmoid":
-        return 0.5 * (1.0 + t)
-    return t
+def _activate_in_place(tag: str, z: np.ndarray) -> np.ndarray:
+    """Apply the activation to a fresh pre-activation array, overwriting it:
+    the operations of tanh(z / 2) and 0.5 * (1 + t), in the same order,
+    with no temporaries."""
+    if tag != "identity":
+        z *= 0.5
+        np.tanh(z, out=z)
+        if tag == "sigmoid":
+            z += 1.0
+            z *= 0.5
+    return z
 
 
 def _through_activation(tag: str, delta: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -183,8 +187,9 @@ def forward(params: NetworkParams, X) -> tuple[np.ndarray, ForwardTape]:
     tape = ForwardTape(inputs=X)
     a = X
     for layer in params.layers:
-        z = layer.weights @ a + layer.bias[:, None]
-        a = _activate(layer.activation, z)
+        z = layer.weights @ a
+        z += layer.bias[:, None]
+        a = _activate_in_place(layer.activation, z)
         tape.out.append(a)
     return a, tape
 

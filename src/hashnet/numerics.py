@@ -1,5 +1,6 @@
 """Symmetric eigendecomposition and orthogonal alignment on float64 arrays,
-and the float dtype rule the network, the loss and binarization share.
+and the float dtype rule the network, the loss, binarization and the
+feature path (file, PCA, training) share.
 
 Both routines are deterministic: eigenvalues come back in descending order
 and eigenvector signs follow a fixed convention, so repeated runs on the
@@ -25,8 +26,8 @@ class EigenDecomposition(NamedTuple):
 def as_float(a) -> np.ndarray:
     """`a` as a float32 array if it already is one, else as a float64 array.
 
-    These are the two dtypes the network and the loss compute in; float64
-    input comes back without a copy.
+    These are the two dtypes the network and the loss compute in; float32
+    and float64 input come back without a copy.
     """
     a = np.asarray(a)
     return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidInput
 from .index import binarize
 from .network import Layer
-from .numerics import procrustes_rotation, sym_eig
+from .numerics import as_float, procrustes_rotation, sym_eig
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class PcaModel:
         return Layer(self.projection.copy(), self.bias, "identity")
 
     def transform(self, features) -> np.ndarray:
-        """Center and project (n x d) features to (n x p)."""
-        return (np.asarray(features, dtype=np.float64) - self.mean) @ self.projection.T
+        """Center and project (n x d) features to (n x p), in float64."""
+        return (as_float(features) - self.mean) @ self.projection.T
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,19 @@ class ItqResult:
 
 
 def pca_fit(features, p: int) -> PcaModel:
-    """Fit the top-p principal components of (n x d) features."""
-    x = np.asarray(features, dtype=np.float64)
+    """Fit the top-p principal components of (n x d) features.
+
+    Float32 features are used as they are: the mean accumulates in float64
+    and centering them against it gives the float64 matrix the covariance
+    is built from, the same numbers as widening the features first.
+    """
+    x = as_float(features)
     if x.ndim != 2 or x.shape[0] < 2:
         raise InvalidInput(f"need at least 2 samples in a 2-d array, got shape {x.shape}")
     n, d = x.shape
     if not 1 <= p <= d:
         raise InvalidInput(f"target dim {p} must be in 1..{d}")
-    mean = x.mean(axis=0)
+    mean = x.mean(axis=0, dtype=np.float64)
     centered = x - mean
     cov = centered.T @ centered / (n - 1)
     cov = (cov + cov.T) / 2.0  # clear float asymmetry before the eigensolve
@@ -124,7 +129,7 @@ def init_binary_codes(features, bits: int, seed: int, iters: int = 50) -> ItqRes
     """Starting binary codes for training: ITQ over the centered top-bits
     PCA projection of the features.  The result's codes are a (bits x n)
     matrix of +-1."""
-    x = np.asarray(features, dtype=np.float64)
+    x = as_float(features)
     _check_code_shape(x, bits)
     return itq(pca_fit(x, bits).transform(x), iters=iters, seed=seed)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, InvalidInput
-from .hashloss import Hyperparams, loss_terms_and_grad, similarity_matrix
+from .hashloss import Hyperparams, _check_labels, _pair_signs, loss_terms_and_grad
 from .index import binarize
 from .network import (
     Layer,
@@ -67,7 +67,7 @@ class LabeledFeatures:
     labels: np.ndarray
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
+        features = as_float(self.features)
         labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise InvalidInput(f"features must be 2-d, got shape {features.shape}")
@@ -131,7 +131,7 @@ def init_network(
 
     The reduction width is capped at the feature dimension.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = as_float(features)
     p = _reduction_width(bits, dr_dim, features.shape[1])
     return _network_on(pca_fit(features, p), bits, rng)
 
@@ -243,14 +243,17 @@ def train(
     ITQ.  Raises DivergenceError if a batch loss goes non-finite or
     explodes past 1e6 times the first positive batch loss.
 
-    Steps and code refreshes compute in float32 on a float32 copy of the
-    features and of the network; the SGD update applies their gradients to
-    float64 master weights in float64.  The returned parameters are
-    float64, so the model file and `encode` stay float64, and the codes
-    are float64 +-1.
+    Steps and code refreshes compute in float32: on the features as float32
+    (float32 features, which read_features returns, are used without a
+    copy), on float32 +-1 codes and similarity matrices, and on a float32
+    copy of the network.  The SGD update applies their gradients to
+    float64 master weights in float64.  The labels are checked once, up
+    front.  The returned parameters are float64, so the model file and
+    `encode` stay float64, and the codes are float64 +-1.
     """
     p = _reduction_width(bits, dr_dim, data.dim)
-    if np.unique(np.asarray(data.labels)).size < 2:
+    labels = _check_labels(data.labels)
+    if np.unique(labels).size < 2:
         raise InvalidInput("training data must contain at least 2 classes")
     if sched.batch > data.n:
         raise InvalidInput(f"batch size {sched.batch} exceeds sample count {data.n}")
@@ -261,23 +264,24 @@ def train(
     params = _network_on(pca.leading(p), bits, rng)
     itq_seed = int(rng.integers(0, 2**63))
     codes = itq(pca.leading(bits).transform(data.features), iters=itq_iters, seed=itq_seed).codes
-    # Made after the PCA and ITQ temporaries are freed, so it adds nothing
-    # to the peak; exact for features read from HSF1, which stores float32.
-    features32 = data.features.astype(np.float32)
+    # A copy only for float64 features, made after the PCA and ITQ
+    # temporaries are freed.
+    features32 = data.features.astype(np.float32, copy=False)
 
     velocity = zero_velocity(params)
     history: list[BatchRecord] = []
     first_total = None
     order = rng.permutation(data.n)
     pos = 0
-    labels = np.asarray(data.labels)
 
     for k in range(1, sched.outer + 1):
+        codes32 = codes.astype(np.float32)
         for t in range(1, sched.inner + 1):
             order, pos, idx = _batch_indices(order, pos, sched.batch, rng)
             batch_x = features32[idx].T
-            batch_sim = similarity_matrix(labels[idx])
-            batch_codes = codes[:, idx]
+            batch_labels = labels[idx]
+            batch_sim = _pair_signs(batch_labels, batch_labels, np.float32)
+            batch_codes = codes32[:, idx]
             compute = _float32_copy(params)
             outputs, tape = forward(compute, batch_x)
             terms, grad = loss_terms_and_grad(outputs, batch_codes, batch_sim, hp)

@@ -234,9 +234,36 @@ def test_features_io_holds_one_payload_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, x.astype(np.float32))
-    # the float32 payload, its finiteness mask, and on reading the float64 result
+    # the float32 payload and its finiteness mask: on reading, the payload
+    # is the returned matrix
     assert write_peak <= 1.5 * (4 * n * d)
-    assert read_peak <= 3.5 * (4 * n * d)
+    assert read_peak <= 1.5 * (4 * n * d)
+
+
+def test_read_features_returns_writable_float32(tmp_path):
+    path = tmp_path / "x.hsf"
+    x = np.random.default_rng(5).standard_normal((9, 4)).astype(np.float32)
+    write_features(path, x)
+    got = read_features(path)
+    assert got.dtype == np.float32 and got.shape == (9, 4)
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert got.tobytes() == x.tobytes()
+    got[0, 0] = 7.0  # the caller owns the buffer; the file is untouched
+    assert read_features(path).tobytes() == x.tobytes()
+
+
+def test_write_features_does_not_widen_float32(tmp_path):
+    n, d = 50_000, 16
+    x = np.random.default_rng(6).standard_normal((n, d)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        write_features(tmp_path / "x.hsf", x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # only the finiteness mask: no float64 widening and no float32 copy
+    assert peak <= 0.5 * (4 * n * d)
+    assert (tmp_path / "x.hsf").read_bytes()[12:] == x.astype("<f4").tobytes()
 
 
 def listing(directory):

@@ -320,8 +320,9 @@ def as_float32(params):
 
 
 def reference_forward(params, X):
-    """The float64-only forward pass that the dtype-generic one replaced."""
-    a = np.asarray(X, dtype=np.float64)
+    """The out-of-place forward pass in the layers' dtype: the oracle for
+    the in-place one, and for float64 the pass from before float32."""
+    a = np.asarray(X, dtype=params.layers[0].weights.dtype)
     outs = []
     for layer in params.layers:
         z = layer.weights @ a + layer.bias[:, None]
@@ -428,6 +429,24 @@ def test_float64_forward_and_backward_are_bitwise_unchanged(seed):
     for (dw, db), (ew, eb) in zip(backward(params, tape, dF), reference_backward(params, X, outs, dF)):
         assert dw.dtype == db.dtype == np.float64
         assert dw.tobytes() == ew.tobytes() and db.tobytes() == eb.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(10))
+def test_in_place_forward_is_bitwise_the_out_of_place_pass(seed, dtype):
+    rng = np.random.default_rng(100 + seed)
+    n_layers = int(rng.integers(1, 5))
+    dims = [int(rng.integers(1, 40)) for _ in range(n_layers + 1)]
+    acts = [str(rng.choice(ACTS)) for _ in range(n_layers)]
+    params = random_net(rng, dims, acts)
+    if dtype == np.float32:
+        params = as_float32(params)
+    X = 4.0 * rng.standard_normal((dims[0], int(rng.integers(1, 300))))  # saturates some units
+    for x in (X, X.astype(np.float32)):
+        F, tape = forward(params, x)
+        outs = reference_forward(params, x)
+        assert F.dtype == dtype and F is tape.out[-1]
+        assert all(a.dtype == dtype and a.tobytes() == b.tobytes() for a, b in zip(tape.out, outs))
 
 
 def test_sgd_step_applies_float32_gradients_in_float64():

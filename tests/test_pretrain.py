@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hashnet.errors import InvalidInput
 from hashnet.numerics import procrustes_rotation
 from hashnet.pretrain import init_binary_codes, itq, pca_fit, random_rotation
+from hashnet.trainer import LabeledFeatures
 
 
 def corners(reps=1):
@@ -198,3 +201,50 @@ def test_itq_matches_unshared_loop(seed):
     assert res.rotation.tobytes() == rotation.tobytes()
     assert res.codes.tobytes() == codes.tobytes()
     assert res.objective_trace.tobytes() == trace.tobytes()
+
+
+FLOAT32_SHAPES = [(2, 1), (3, 2), (7, 5), (33, 4), (200, 16), (513, 9)]
+
+
+@pytest.mark.parametrize("n, d", FLOAT32_SHAPES)
+def test_float32_features_give_the_bytes_of_their_float64_widening(n, d):
+    rng = np.random.default_rng(n * 100 + d)
+    x32 = (rng.standard_normal((n, d)) * rng.uniform(0.1, 50, size=d) + 3.0).astype(np.float32)
+    x64 = x32.astype(np.float64)
+    for p in range(1, d + 1):
+        got, want = pca_fit(x32, p), pca_fit(x64, p)
+        for name in ("projection", "mean", "eigenvalues"):
+            assert getattr(got, name).dtype == np.float64
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.transform(x32).tobytes() == want.transform(x64).tobytes()
+    for bits in range(1, min(n, d) + 1):
+        got, want = init_binary_codes(x32, bits, seed=bits), init_binary_codes(x64, bits, seed=bits)
+        assert got.codes.tobytes() == want.codes.tobytes()
+        assert got.rotation.tobytes() == want.rotation.tobytes()
+        assert got.objective_trace.tobytes() == want.objective_trace.tobytes()
+
+
+def peak_allocation(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_float32_features_are_never_widened_whole():
+    # Widening first would hold a float64 copy (2x the float32 payload) and
+    # the float64 centered matrix (2x) at once: 4x and more.  Used as they
+    # are, the centered matrix alone is the largest allocation.
+    n, d, bits = 10_000, 128, 8
+    x = np.random.default_rng(1).standard_normal((n, d)).astype(np.float32)
+    payload = x.nbytes
+    _, peak = peak_allocation(lambda: pca_fit(x, d))
+    assert peak <= 2.5 * payload
+    _, peak = peak_allocation(lambda: init_binary_codes(x, bits, seed=0))
+    assert peak <= 2.5 * payload
+    data, peak = peak_allocation(lambda: LabeledFeatures(x, np.arange(n) % 3))
+    assert data.features is x
+    assert peak <= 0.5 * payload  # the finiteness mask

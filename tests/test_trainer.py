@@ -373,7 +373,8 @@ def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
 
     def loss32(outputs, codes, sim, hp):
         terms, grad = real["loss_terms_and_grad"](outputs, codes, sim, hp)
-        seen["loss"] += [outputs.dtype, grad.dtype]
+        seen["loss"] += [outputs.dtype, codes.dtype, sim.dtype, grad.dtype]
+        assert set(np.unique(codes)) <= {-1, 1} and set(np.unique(sim)) <= {-1, 1}
         return terms, grad
 
     def sgd64(params, grads, cfg, velocity):
@@ -428,3 +429,27 @@ def test_train_fits_one_pca_for_the_network_and_itq(monkeypatch):
         assert start.codes.tobytes() == want.codes.tobytes()
         assert start.rotation.tobytes() == want.rotation.tobytes()
         assert start.objective_trace.tobytes() == want.objective_trace.tobytes()
+
+
+@pytest.mark.parametrize("n, d, bits", [(2, 1, 1), (7, 3, 2), (33, 5, 4), (64, 16, 8)])
+def test_train_on_float32_features_gives_the_bytes_of_their_float64_widening(n, d, bits):
+    rng = np.random.default_rng(n + d)
+    x32 = (rng.standard_normal((n, d)) + 2.0).astype(np.float32)
+    labels = np.arange(n) % 2
+    sched = TrainSchedule(outer=2, inner=3, batch=min(n, 16), seed=n)
+    sgd = SgdConfig(learning_rate=0.5)
+    got = train(LabeledFeatures(x32, labels), bits, Hyperparams(), sched, sgd)
+    want = train(LabeledFeatures(x32.astype(np.float64), labels), bits, Hyperparams(), sched, sgd)
+    for a, b in zip(got.params.layers, want.params.layers):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+    assert got.codes.tobytes() == want.codes.tobytes()
+    assert got.history == want.history
+
+
+@pytest.mark.parametrize("labels", [[0, 1, -1, 1] * 8, [0.0, 1.0] * 16, ["a", "b"] * 16])
+def test_train_rejects_labels_that_are_not_non_negative_integers(labels):
+    data = LabeledFeatures(np.random.default_rng(3).standard_normal((32, 4)), np.array(labels))
+    sched = TrainSchedule(outer=1, inner=1, batch=16)
+    with pytest.raises(InvalidInput, match="labels must be non-negative integers"):
+        train(data, 4, Hyperparams(), sched, SgdConfig())
