@@ -64,6 +64,14 @@ def pca_fit(features, p: int) -> PcaModel:
     and centering them against it gives the float64 matrix the covariance
     is built from, the same numbers as widening the features first.
     """
+    return _pretrain(features, p, 0)[0]
+
+
+def _pretrain(features, p: int, bits: int) -> tuple[PcaModel, np.ndarray]:
+    """pca_fit(features, p) and the features projected onto its leading
+    `bits` components, (n x bits): the numbers of
+    `pca.leading(bits).transform(features)`, bit for bit, from the one
+    centered matrix the covariance is built from."""
     x = as_float(features)
     if x.ndim != 2 or x.shape[0] < 2:
         raise InvalidInput(f"need at least 2 samples in a 2-d array, got shape {x.shape}")
@@ -75,11 +83,13 @@ def pca_fit(features, p: int) -> PcaModel:
     cov = centered.T @ centered / (n - 1)
     cov = (cov + cov.T) / 2.0  # clear float asymmetry before the eigensolve
     dec = sym_eig(cov)
-    return PcaModel(
+    pca = PcaModel(
         projection=dec.vectors[:, :p].T.copy(),
         mean=mean,
         eigenvalues=np.maximum(dec.values[:p], 0.0),
     )
+    del cov, dec  # the projection then peaks no higher than the fit
+    return pca, centered @ pca.projection[:bits].T
 
 
 def random_rotation(bits: int, seed: int) -> np.ndarray:
@@ -131,7 +141,7 @@ def init_binary_codes(features, bits: int, seed: int, iters: int = 50) -> ItqRes
     matrix of +-1."""
     x = as_float(features)
     _check_code_shape(x, bits)
-    return itq(pca_fit(x, bits).transform(x), iters=iters, seed=seed)
+    return itq(_pretrain(x, bits, bits)[1], iters=iters, seed=seed)
 
 
 def _check_code_shape(x: np.ndarray, bits: int) -> None:

@@ -9,9 +9,11 @@ for a fixed seed.
 
 Training computes in float32 against float64 master weights: each step
 runs forward, loss and backward on a float32 copy of the network and
-applies the float32 gradients to the float64 weights in float64, and each
-code refresh encodes through a float32 copy.  The returned parameters, and
-so the model file and encoding with it, stay float64.
+applies the float32 gradients to the float64 weights in float64.  The
+returned parameters, and so the model file, stay float64.  Encoding
+(`update_codes`: each code refresh, `encode` and the library) runs a
+float32 copy of whatever network it is given, so `encode` of the training
+features gives `train`'s final codes.
 """
 
 import math
@@ -34,7 +36,7 @@ from .network import (
     zero_velocity,
 )
 from .numerics import as_float
-from .pretrain import PcaModel, _check_code_shape, itq, pca_fit
+from .pretrain import PcaModel, _check_code_shape, _pretrain, itq, pca_fit
 
 # Abort when a batch loss exceeds this multiple of the first batch loss.
 DIVERGENCE_FACTOR = 1e6
@@ -200,13 +202,16 @@ def update_codes(params: NetworkParams, features, batch: int) -> np.ndarray:
     """Sign of the network output over all samples, computed in column
     blocks of at most `batch`.  Blocking does not change the result.
 
-    An identity layer (the PCA reduction) is first folded into the layer
-    after it wherever that cuts the multiplies per sample.  The choice
-    depends on the model alone, so the same layers run however many
-    samples a call has; outputs can differ from `forward` on the unfolded
-    network in the last bits, so a code bit can differ from it only where
-    an output is within rounding of 0."""
-    blocks = _forward_blocks(params, features, batch)
+    The codes are those of a float32 copy of the network, whatever the
+    dtype of `params`, on the features as float32: the arithmetic of
+    training's code refresh.  An identity layer (the PCA reduction) is
+    folded into the layer after it wherever that cuts the multiplies per
+    sample.  The choice depends on the model alone, so the same layers run
+    however many samples a call has.  Outputs can differ from float64
+    `forward` on the unfolded network by float32 rounding, so a code bit
+    can differ from its sign only where an output is within float32
+    rounding of 0.  `params` is not changed."""
+    blocks = _forward_blocks(_float32_copy(params), features, batch)
     out = np.empty((params.out_dim, len(features)))
     for start, block in blocks:
         out[:, start : start + batch] = binarize(block)
@@ -248,8 +253,9 @@ def train(
     copy), on float32 +-1 codes and similarity matrices, and on a float32
     copy of the network.  The SGD update applies their gradients to
     float64 master weights in float64.  The labels are checked once, up
-    front.  The returned parameters are float64, so the model file and
-    `encode` stay float64, and the codes are float64 +-1.
+    front.  The returned parameters are float64, so the model file stays
+    float64, and the codes are float64 +-1: the codes `update_codes` gives
+    the returned parameters.
     """
     p = _reduction_width(bits, dr_dim, data.dim)
     labels = _check_labels(data.labels)
@@ -260,10 +266,11 @@ def train(
     _check_code_shape(data.features, bits)
 
     rng = np.random.default_rng(sched.seed)
-    pca = pca_fit(data.features, max(p, bits))
+    pca, projected = _pretrain(data.features, max(p, bits), bits)
     params = _network_on(pca.leading(p), bits, rng)
     itq_seed = int(rng.integers(0, 2**63))
-    codes = itq(pca.leading(bits).transform(data.features), iters=itq_iters, seed=itq_seed).codes
+    codes = itq(projected, iters=itq_iters, seed=itq_seed).codes
+    del projected
     # A copy only for float64 features, made after the PCA and ITQ
     # temporaries are freed.
     features32 = data.features.astype(np.float32, copy=False)
@@ -296,7 +303,7 @@ def train(
                 first_total = total
             sgd_step(params, backward(compute, tape, grad), sgd, velocity)
             history.append(BatchRecord(k, t, total, *terms))
-        codes = update_codes(_float32_copy(params), features32, sched.batch)
+        codes = update_codes(params, features32, sched.batch)
 
     return TrainState(
         params=params, codes=codes, history=history, outer=sched.outer, inner=sched.inner

@@ -7,12 +7,15 @@ from hashnet.errors import UndefinedMetric
 from hashnet.formats import (
     load_model,
     read_codes,
+    save_model,
     write_codes,
     write_features,
     write_labels,
 )
 from hashnet.index import mean_average_precision, pack, search, unpack
-from hashnet.network import forward
+from hashnet.hashloss import Hyperparams
+from hashnet.network import SgdConfig, forward
+from hashnet.trainer import LabeledFeatures, TrainSchedule, train
 
 
 def two_class_files(tmp_path, seed=0, n=300, d=8):
@@ -112,6 +115,19 @@ def test_encode_matches_forward_and_is_deterministic(tmp_path):
     outputs, _ = forward(params, feats.T)
     expected = np.where(outputs >= 0, 1.0, -1.0)
     assert np.array_equal(unpack(read_codes(out1)), expected)
+
+
+def test_encode_of_the_training_features_gives_trains_final_codes(tmp_path):
+    fpath, _, feats, labels = two_class_files(tmp_path, seed=5, n=200, d=24)
+    state = train(
+        LabeledFeatures(feats, labels), 16, Hyperparams(),
+        TrainSchedule(outer=2, inner=20, batch=32, seed=7), SgdConfig(learning_rate=0.5),
+    )
+    model, out, want = tmp_path / "m.json", tmp_path / "c.hsb", tmp_path / "want.hsb"
+    save_model(model, state.params, {})
+    assert main(["encode", str(model), str(fpath), "-o", str(out)]) == 0
+    write_codes(want, pack(state.codes))
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_encode_empty_features(tmp_path):

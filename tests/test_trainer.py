@@ -219,6 +219,21 @@ def test_update_codes_matches_per_sample_oracle():
         assert np.array_equal(codes[:, [i]], binarize(out))
 
 
+def test_update_codes_encodes_through_the_float32_network():
+    # In float64 the output is tanh(-2**-31) < 0, code -1.  The float32 copy
+    # rounds the first weight to 1, so its output is exactly 0, code +1.
+    weights = np.array([[1 - 2.0**-30, -1.0]])
+    params = NetworkParams([Layer(weights.copy(), np.zeros(1), "scaled_sigmoid")])
+    x = np.ones((1, 2))
+    assert forward(params, x.T)[0][0, 0] < 0
+    want = binarize(forward(trainer._float32_copy(params), x.T)[0])
+    assert want.tolist() == [[1.0]]
+    for features in (x, x.astype(np.float32)):
+        assert update_codes(params, features, 1).tolist() == want.tolist()
+    assert params.layers[0].weights.dtype == np.float64
+    assert params.layers[0].weights.tobytes() == weights.tobytes()
+
+
 def test_update_codes_rejects_dim_mismatch():
     data = two_cluster_data(n=50)
     params = init_network(data.features, 8, 16, np.random.default_rng(7))
@@ -357,13 +372,17 @@ def test_labeled_features_validation():
 
 
 def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
-    seen = {"forward": [], "backward": [], "loss": [], "sgd": [], "refresh": []}
+    seen = {"forward": [], "backward": [], "loss": [], "sgd": [], "refresh": [],
+            "refresh_forward": [], "master": []}
     real = {name: getattr(trainer, name) for name in
             ("forward", "backward", "loss_terms_and_grad", "sgd_step", "update_codes")}
+    refreshing = []
 
     def forward32(net, x):
         out, tape = real["forward"](net, x)
-        seen["forward"] += [x.dtype, tape.inputs.dtype] + [a.dtype for a in tape.out]
+        key = "refresh_forward" if refreshing else "forward"
+        seen[key] += [x.dtype, tape.inputs.dtype] + [a.dtype for a in tape.out]
+        seen[key] += [a.dtype for l in net.layers for a in (l.weights, l.bias)]
         return out, tape
 
     def backward32(net, tape, grad):
@@ -383,8 +402,13 @@ def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
         return real["sgd_step"](params, grads, cfg, velocity)
 
     def refresh32(net, features, batch):
-        seen["refresh"] += [features.dtype] + [l.weights.dtype for l in net.layers]
-        return real["update_codes"](net, features, batch)
+        seen["refresh"].append(features.dtype)
+        seen["master"] += [a.dtype for l in net.layers for a in (l.weights, l.bias)]
+        refreshing.append(True)
+        try:
+            return real["update_codes"](net, features, batch)
+        finally:
+            refreshing.pop()
 
     for name, fake in (("forward", forward32), ("backward", backward32),
                        ("loss_terms_and_grad", loss32), ("sgd_step", sgd64),
@@ -393,9 +417,10 @@ def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
     data = two_cluster_data(n=128)
     state = train(data, 8, Hyperparams(alpha=np.float64(0.3)),
                   TrainSchedule(outer=2, inner=3, batch=32, seed=4), SgdConfig())
-    for key in ("forward", "backward", "loss", "refresh"):
+    for key in ("forward", "backward", "loss", "refresh", "refresh_forward"):
         assert seen[key] and set(seen[key]) == {np.dtype(np.float32)}, key
-    assert seen["sgd"] and set(seen["sgd"]) == {np.dtype(np.float64)}
+    for key in ("sgd", "master"):
+        assert seen[key] and set(seen[key]) == {np.dtype(np.float64)}, key
     assert all(l.weights.dtype == l.bias.dtype == np.float64 for l in state.params.layers)
     assert state.codes.dtype == np.float64 and np.all(np.abs(state.codes) == 1.0)
     assert all(type(r.total) is float for r in state.history)
@@ -403,17 +428,22 @@ def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
 
 def test_train_fits_one_pca_for_the_network_and_itq(monkeypatch):
     fits, starts = [], []
-    real_fit, real_itq = trainer.pca_fit, trainer.itq
+    real_fit, real_pretrain, real_itq = trainer.pca_fit, trainer._pretrain, trainer.itq
 
     def counting_fit(features, p):
         fits.append(p)
         return real_fit(features, p)
+
+    def counting_pretrain(features, p, bits):
+        fits.append(p)
+        return real_pretrain(features, p, bits)
 
     def recording_itq(projected, iters, seed):
         starts.append((seed, real_itq(projected, iters=iters, seed=seed)))
         return starts[-1][1]
 
     monkeypatch.setattr(trainer, "pca_fit", counting_fit)
+    monkeypatch.setattr(trainer, "_pretrain", counting_pretrain)
     monkeypatch.setattr(trainer, "itq", recording_itq)
     data = two_cluster_data(n=64)
     for dr_dim, fit in ((6, 8), (12, 12), (800, 16)):  # fit max(min(dr_dim, d), bits)
