@@ -37,7 +37,7 @@ from .index import (
     search,
 )
 from .network import SgdConfig
-from .pretrain import init_binary_codes
+from .pretrain import ITQ_ITERS, init_binary_codes
 from .trainer import LabeledFeatures, default_schedule, train, update_codes
 
 
@@ -110,7 +110,7 @@ def cmd_encode(args) -> int:
         raise InvalidInput(
             f"{args.features} has dim {features.shape[1]}, model expects {params.in_dim}"
         )
-    codes = update_codes(params, features, args.batch)
+    codes = update_codes(params, features)
     write_codes(args.out, pack(codes))
     return 0
 
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model JSON path")
     p.add_argument("features", help="HSF1 feature file")
     p.add_argument("-o", "--out", required=True, help="output HSB1 code path")
-    p.add_argument("--batch", type=int, default=256, help="forward block size")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("search", help="exact Hamming k-nearest-neighbor scan")
@@ -239,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features", help="HSF1 feature file")
     p.add_argument("-o", "--out", required=True, help="output HSB1 code path")
     p.add_argument("--bits", type=int, default=16)
-    p.add_argument("--iters", type=int, default=50)
+    p.add_argument("--iters", type=int, default=ITQ_ITERS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_itq)
 

@@ -40,15 +40,14 @@ class Hyperparams:
             object.__setattr__(self, name, float(value))
 
 
-def similarity_matrix(labels_a, labels_b=None) -> np.ndarray:
-    """Entry (i, j) is +1 when the labels match and -1 otherwise.
+def similarity_matrix(labels) -> np.ndarray:
+    """Entry (i, j) is +1 when labels i and j match and -1 otherwise.
 
-    Labels must be non-negative integers.  With one argument the matrix is
-    square, symmetric, and has a unit diagonal.
+    Labels must be non-negative integers.  The matrix is square,
+    symmetric, and has a unit diagonal.
     """
-    la = _check_labels(labels_a)
-    lb = la if labels_b is None else _check_labels(labels_b)
-    return _pair_signs(la, lb, np.float64)
+    labels = _check_labels(labels)
+    return _pair_signs(labels, np.float64)
 
 
 def _check_labels(labels) -> np.ndarray:
@@ -62,11 +61,11 @@ def _check_labels(labels) -> np.ndarray:
     return labels
 
 
-def _pair_signs(la: np.ndarray, lb: np.ndarray, dtype) -> np.ndarray:
-    """The similarity matrix of two checked label vectors in `dtype`,
-    without checking them again."""
+def _pair_signs(labels: np.ndarray, dtype) -> np.ndarray:
+    """The similarity matrix of checked labels in `dtype`, without
+    checking them again."""
     one = np.ones((), dtype=dtype)
-    return np.where(la[:, None] == lb[None, :], one, -one)
+    return np.where(labels[:, None] == labels[None, :], one, -one)
 
 
 def _check_shapes(outputs, codes, sim):

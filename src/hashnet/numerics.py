@@ -17,6 +17,9 @@ from .errors import InvalidInput, NumericalFailure
 # Maximum allowed |A - A.T| entry for an input to count as symmetric.
 SYMMETRY_TOL = 1e-10
 
+# Absolute floor of the eigendecomposition's reconstruction bound.
+RECONSTRUCTION_TOL = 1e-9
+
 
 class EigenDecomposition(NamedTuple):
     values: np.ndarray   # eigenvalues, descending
@@ -31,6 +34,15 @@ def as_float(a) -> np.ndarray:
     """
     a = np.asarray(a)
     return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
+def check_int(value, name: str, minimum: int) -> None:
+    """Raise InvalidInput unless `value` is an integer, not a bool, of at
+    least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidInput(f"{name} must be >= {minimum}, got {value}")
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -53,16 +65,14 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def sym_eig(a, tol: float = 1e-9) -> EigenDecomposition:
+def sym_eig(a) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
     Returns all eigenpairs with eigenvalues sorted descending.  The
     reconstruction error max|A - Q diag(v) Q.T| is verified against
-    max(tol, 1e-10 * max|A|).
+    max(RECONSTRUCTION_TOL, 1e-10 * max|A|).
     """
     a = _as_square(a, "input")
-    if not tol > 0:
-        raise InvalidInput(f"tol must be positive, got {tol}")
     if a.size and np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
         raise InvalidInput("input matrix is not symmetric within 1e-10")
     try:
@@ -73,7 +83,7 @@ def sym_eig(a, tol: float = 1e-9) -> EigenDecomposition:
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
     recon = (vectors * values) @ vectors.T
-    bound = max(tol, 1e-10 * float(np.max(np.abs(a), initial=0.0)))
+    bound = max(RECONSTRUCTION_TOL, 1e-10 * float(np.max(np.abs(a), initial=0.0)))
     if np.max(np.abs(a - recon), initial=0.0) > bound:
         raise NumericalFailure("eigendecomposition failed the reconstruction check")
     return EigenDecomposition(values=values, vectors=vectors)

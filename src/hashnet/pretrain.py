@@ -13,7 +13,10 @@ import numpy as np
 from .errors import InvalidInput
 from .index import binarize
 from .network import Layer
-from .numerics import as_float, procrustes_rotation, sym_eig
+from .numerics import as_float, check_int, procrustes_rotation, sym_eig
+
+# ITQ iterations of the training start, `init_binary_codes` and `hashnet itq`.
+ITQ_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -32,14 +35,6 @@ class PcaModel:
     def bias(self) -> np.ndarray:
         """Bias that centers projected data: -projection @ mean."""
         return -(self.projection @ self.mean)
-
-    def leading(self, p: int) -> "PcaModel":
-        """The top-p components of this model: what pca_fit(features, p)
-        returns for the same features, bit for bit, without a second
-        eigendecomposition."""
-        if not 1 <= p <= len(self.eigenvalues):
-            raise InvalidInput(f"target dim {p} must be in 1..{len(self.eigenvalues)}")
-        return PcaModel(self.projection[:p].copy(), self.mean, self.eigenvalues[:p].copy())
 
     def dr_layer(self) -> Layer:
         """The induced dimension-reduction layer (identity activation)."""
@@ -68,10 +63,11 @@ def pca_fit(features, p: int) -> PcaModel:
 
 
 def _pretrain(features, p: int, bits: int) -> tuple[PcaModel, np.ndarray]:
-    """pca_fit(features, p) and the features projected onto its leading
-    `bits` components, (n x bits): the numbers of
-    `pca.leading(bits).transform(features)`, bit for bit, from the one
-    centered matrix the covariance is built from."""
+    """pca_fit(features, p) and the features projected onto the leading
+    `bits` components, (n x bits), for any p and bits up to the feature
+    dimension, from one eigendecomposition and the one centered matrix the
+    covariance is built from.  The projection holds the numbers of
+    `pca_fit(features, bits).transform(features)`, bit for bit."""
     x = as_float(features)
     if x.ndim != 2 or x.shape[0] < 2:
         raise InvalidInput(f"need at least 2 samples in a 2-d array, got shape {x.shape}")
@@ -83,13 +79,14 @@ def _pretrain(features, p: int, bits: int) -> tuple[PcaModel, np.ndarray]:
     cov = centered.T @ centered / (n - 1)
     cov = (cov + cov.T) / 2.0  # clear float asymmetry before the eigensolve
     dec = sym_eig(cov)
+    top = dec.vectors[:, : max(p, bits)].T.copy()
     pca = PcaModel(
-        projection=dec.vectors[:, :p].T.copy(),
+        projection=top[:p].copy(),
         mean=mean,
         eigenvalues=np.maximum(dec.values[:p], 0.0),
     )
     del cov, dec  # the projection then peaks no higher than the fit
-    return pca, centered @ pca.projection[:bits].T
+    return pca, centered @ top[:bits].T
 
 
 def random_rotation(bits: int, seed: int) -> np.ndarray:
@@ -103,9 +100,10 @@ def itq(projected, iters: int, seed: int, init_rotation=None) -> ItqResult:
     """Iterative quantization of centered, PCA-projected (n x bits) data.
 
     Alternates codes = sign(V R) and the Procrustes rotation update from a
-    seeded random orthogonal start (or the given one).  Returns the final
-    rotation, the codes as a (bits x n) matrix, and the per-iteration
-    quantization error trace.
+    random orthogonal start seeded by a non-negative integer (or the given
+    one; the seed is checked either way).  Returns the final rotation, the
+    codes as a (bits x n) matrix, and the per-iteration quantization error
+    trace.
     """
     v = np.asarray(projected, dtype=np.float64)
     if v.ndim != 2:
@@ -115,8 +113,8 @@ def itq(projected, iters: int, seed: int, init_rotation=None) -> ItqResult:
     n, bits = v.shape
     if bits > n:
         raise InvalidInput(f"cannot fit {bits} bits to only {n} samples")
-    if iters < 1:
-        raise InvalidInput(f"iteration count must be >= 1, got {iters}")
+    check_int(iters, "iteration count", 1)
+    check_int(seed, "seed", 0)
     if init_rotation is None:
         rotation = random_rotation(bits, seed)
     else:
@@ -135,7 +133,7 @@ def itq(projected, iters: int, seed: int, init_rotation=None) -> ItqResult:
     return ItqResult(rotation=rotation, codes=codes.T, objective_trace=trace)
 
 
-def init_binary_codes(features, bits: int, seed: int, iters: int = 50) -> ItqResult:
+def init_binary_codes(features, bits: int, seed: int, iters: int = ITQ_ITERS) -> ItqResult:
     """Starting binary codes for training: ITQ over the centered top-bits
     PCA projection of the features.  The result's codes are a (bits x n)
     matrix of +-1."""

@@ -35,8 +35,8 @@ from .network import (
     sgd_step,
     zero_velocity,
 )
-from .numerics import as_float
-from .pretrain import PcaModel, _check_code_shape, _pretrain, itq, pca_fit
+from .numerics import as_float, check_int
+from .pretrain import ITQ_ITERS, PcaModel, _check_code_shape, _pretrain, itq, pca_fit
 
 # Abort when a batch loss exceeds this multiple of the first batch loss.
 DIVERGENCE_FACTOR = 1e6
@@ -45,7 +45,8 @@ DIVERGENCE_FACTOR = 1e6
 @dataclass(frozen=True)
 class TrainSchedule:
     """Loop sizes: outer code-update rounds, inner SGD steps per round,
-    and the minibatch size."""
+    and the minibatch size, all positive integers; and the non-negative
+    integer seed of the run."""
 
     outer: int
     inner: int
@@ -53,12 +54,10 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.outer < 1:
-            raise InvalidInput(f"outer iteration count must be >= 1, got {self.outer}")
-        if self.inner < 1:
-            raise InvalidInput(f"inner iteration count must be >= 1, got {self.inner}")
-        if self.batch < 1:
-            raise InvalidInput(f"batch size must be >= 1, got {self.batch}")
+        check_int(self.outer, "outer iteration count", 1)
+        check_int(self.inner, "inner iteration count", 1)
+        check_int(self.batch, "batch size", 1)
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -106,20 +105,18 @@ class BatchRecord:
 
 @dataclass
 class TrainState:
-    """Everything a finished (or aborted) run leaves behind."""
+    """Everything a finished run leaves behind.  A run that diverges
+    raises DivergenceError and returns no state."""
 
     params: NetworkParams
     codes: np.ndarray  # bits x n, entries +-1
     history: list[BatchRecord] = field(default_factory=list)
-    outer: int = 0
-    inner: int = 0
 
 
 def default_schedule(n: int, batch: int, seed: int = 0) -> TrainSchedule:
     """Standard schedule: 5 outer rounds, ceil(4n / batch) inner steps
     (about four passes over the data per round)."""
-    if batch < 1:
-        raise InvalidInput(f"batch size must be >= 1, got {batch}")
+    check_int(batch, "batch size", 1)
     if batch > n:
         raise InvalidInput(f"batch size {batch} exceeds sample count {n}")
     return TrainSchedule(outer=5, inner=math.ceil(4 * n / batch), batch=batch, seed=seed)
@@ -171,10 +168,7 @@ def _forward_blocks(params: NetworkParams, features, batch: int):
         raise InvalidInput(
             f"features shape {features.shape} does not match network input dim {params.in_dim}"
         )
-    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)):
-        raise InvalidInput(f"block size must be an integer, got {batch!r}")
-    if batch < 1:
-        raise InvalidInput(f"block size must be >= 1, got {batch}")
+    check_int(batch, "block size", 1)
     folded = _folded(params)
     return (
         (start, forward(folded, features[start : start + batch].T)[0])
@@ -198,9 +192,12 @@ def _folded(params: NetworkParams) -> NetworkParams:
     return NetworkParams(layers)
 
 
-def update_codes(params: NetworkParams, features, batch: int) -> np.ndarray:
+def update_codes(params: NetworkParams, features, batch: int = 256) -> np.ndarray:
     """Sign of the network output over all samples, computed in column
-    blocks of at most `batch`.  Blocking does not change the result.
+    blocks of at most `batch`.  The block size can change an output by
+    float32 rounding (a matrix product of another shape may sum in
+    another order), so it can change a code bit only where the output is
+    within float32 rounding of 0.  `encode` uses the default.
 
     The codes are those of a float32 copy of the network, whatever the
     dtype of `params`, on the features as float32: the arithmetic of
@@ -237,14 +234,13 @@ def train(
     sched: TrainSchedule,
     sgd: SgdConfig,
     dr_dim: int = 800,
-    itq_iters: int = 50,
 ) -> TrainState:
     """Run the full alternating optimization and return the final state.
 
     Flow: build the network (PCA reduction layer + random head), start the
-    binary codes from ITQ, then for each outer round run `sched.inner`
-    minibatch SGD steps against the frozen codes and re-binarize the codes
-    from the updated network.  One PCA serves both the reduction layer and
+    binary codes from ITQ_ITERS iterations of ITQ, then for each outer
+    round run `sched.inner` minibatch SGD steps against the frozen codes
+    and re-binarize the codes from the updated network.  One PCA serves both the reduction layer and
     ITQ.  Raises DivergenceError if a batch loss goes non-finite or
     explodes past 1e6 times the first positive batch loss.
 
@@ -266,10 +262,10 @@ def train(
     _check_code_shape(data.features, bits)
 
     rng = np.random.default_rng(sched.seed)
-    pca, projected = _pretrain(data.features, max(p, bits), bits)
-    params = _network_on(pca.leading(p), bits, rng)
+    pca, projected = _pretrain(data.features, p, bits)
+    params = _network_on(pca, bits, rng)
     itq_seed = int(rng.integers(0, 2**63))
-    codes = itq(projected, iters=itq_iters, seed=itq_seed).codes
+    codes = itq(projected, iters=ITQ_ITERS, seed=itq_seed).codes
     del projected
     # A copy only for float64 features, made after the PCA and ITQ
     # temporaries are freed.
@@ -286,8 +282,7 @@ def train(
         for t in range(1, sched.inner + 1):
             order, pos, idx = _batch_indices(order, pos, sched.batch, rng)
             batch_x = features32[idx].T
-            batch_labels = labels[idx]
-            batch_sim = _pair_signs(batch_labels, batch_labels, np.float32)
+            batch_sim = _pair_signs(labels[idx], np.float32)
             batch_codes = codes32[:, idx]
             compute = _float32_copy(params)
             outputs, tape = forward(compute, batch_x)
@@ -305,9 +300,7 @@ def train(
             history.append(BatchRecord(k, t, total, *terms))
         codes = update_codes(params, features32, sched.batch)
 
-    return TrainState(
-        params=params, codes=codes, history=history, outer=sched.outer, inner=sched.inner
-    )
+    return TrainState(params=params, codes=codes, history=history)
 
 
 def quantization_gap(params: NetworkParams, features, codes, batch: int = 256) -> float:

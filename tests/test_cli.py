@@ -50,6 +50,16 @@ def test_itq_too_small_for_bits_exits_2(tmp_path, capsys, shape):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "itq"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    fpath, lpath, _, _ = two_class_files(tmp_path, n=40)
+    inputs = {"train": [str(fpath), str(lpath), "--batch", "16"], "itq": [str(fpath)]}[command]
+    out = tmp_path / "out"
+    assert main([command, *inputs, "-o", str(out), "--bits", "4", "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_write_into_missing_directory_names_the_target(tmp_path, capsys):
     fpath = tmp_path / "x.hsf"
     write_features(fpath, np.random.default_rng(0).standard_normal((40, 8)))

@@ -5,7 +5,7 @@ import pytest
 
 from hashnet.errors import InvalidInput
 from hashnet.numerics import procrustes_rotation
-from hashnet.pretrain import init_binary_codes, itq, pca_fit, random_rotation
+from hashnet.pretrain import _pretrain, init_binary_codes, itq, pca_fit, random_rotation
 from hashnet.trainer import LabeledFeatures
 
 
@@ -120,6 +120,14 @@ def test_itq_deterministic_for_fixed_seed():
     assert np.array_equal(a.objective_trace, b.objective_trace)
 
 
+@pytest.mark.parametrize("seed", [-1, 0.5, True, None, "0"])
+def test_itq_rejects_bad_seed(seed):
+    with pytest.raises(InvalidInput):
+        itq(corners(3), iters=2, seed=seed)
+    with pytest.raises(InvalidInput):
+        init_binary_codes(corners(3), 2, seed=seed)
+
+
 def test_itq_rejects_more_bits_than_samples():
     with pytest.raises(InvalidInput):
         itq(np.zeros((2, 3)), iters=5, seed=0)
@@ -164,18 +172,20 @@ def test_init_binary_codes_rejects_small_n():
 def test_leading_components_equal_separate_fits():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((200, 12)) @ rng.standard_normal((12, 12))
-    full = pca_fit(x, 10)
-    for p in range(1, 11):
-        got, want = full.leading(p), pca_fit(x, p)
-        assert got.projection.tobytes() == want.projection.tobytes()
-        assert got.projection.flags.c_contiguous and got.projection.shape == (p, 12)
-        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-        assert got.mean.tobytes() == want.mean.tobytes()
-        assert got.bias.tobytes() == want.bias.tobytes()
-        assert got.transform(x).tobytes() == want.transform(x).tobytes()
-    for bad in (0, 11):
+    for p in range(1, 13):
+        for bits in (1, 4, 12):
+            got, projected = _pretrain(x, p, bits)
+            want = pca_fit(x, p)
+            assert got.projection.tobytes() == want.projection.tobytes()
+            assert got.projection.flags.c_contiguous and got.projection.shape == (p, 12)
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.bias.tobytes() == want.bias.tobytes()
+            assert got.transform(x).tobytes() == want.transform(x).tobytes()
+            assert projected.tobytes() == pca_fit(x, bits).transform(x).tobytes()
+    for bad in (0, 13):
         with pytest.raises(InvalidInput):
-            full.leading(bad)
+            _pretrain(x, bad, 4)
 
 
 def unshared_itq_loop(v, iters, rotation):

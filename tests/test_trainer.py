@@ -65,6 +65,22 @@ def test_schedule_rejects_zero_counts():
         TrainSchedule(outer=1, inner=1, batch=0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("outer", 1.5), ("inner", 2.5), ("batch", 16.0), ("seed", 0.5),
+     ("outer", True), ("batch", "16"), ("seed", -1), ("seed", None)],
+)
+def test_schedule_rejects_non_integer_sizes_and_bad_seeds(name, value):
+    sizes = {"outer": 1, "inner": 1, "batch": 16, "seed": 0, name: value}
+    with pytest.raises(InvalidInput):
+        TrainSchedule(**sizes)
+
+
+def test_schedule_takes_numpy_integers():
+    sched = TrainSchedule(outer=np.int64(2), inner=np.int32(3), batch=np.int64(4), seed=np.uint8(5))
+    assert (sched.outer, sched.inner, sched.batch, sched.seed) == (2, 3, 4, 5)
+
+
 def test_batch_stream_exhausts_every_sample_each_pass():
     rng = np.random.default_rng(0)
     n, m = 103, 10
@@ -446,7 +462,7 @@ def test_train_fits_one_pca_for_the_network_and_itq(monkeypatch):
     monkeypatch.setattr(trainer, "_pretrain", counting_pretrain)
     monkeypatch.setattr(trainer, "itq", recording_itq)
     data = two_cluster_data(n=64)
-    for dr_dim, fit in ((6, 8), (12, 12), (800, 16)):  # fit max(min(dr_dim, d), bits)
+    for dr_dim, fit in ((6, 6), (12, 12), (800, 16)):  # fit min(dr_dim, d)
         fits.clear()
         sched = TrainSchedule(outer=1, inner=1, batch=32, seed=9)
         state = train(data, 8, Hyperparams(), sched, SgdConfig(learning_rate=0.0), dr_dim=dr_dim)
