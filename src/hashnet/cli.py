@@ -8,7 +8,7 @@ all text output is locale-independent.
 import argparse
 import contextlib
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .index import (
 )
 from .network import SgdConfig
 from .pretrain import ITQ_ITERS, init_binary_codes
-from .trainer import LabeledFeatures, default_schedule, train, update_codes
+from .trainer import DR_DIM, OUTER_ROUNDS, LabeledFeatures, default_schedule, train, update_codes
 
 
 # Query-database pairs ranked at once by `eval`: about 8 MB of 64-bit ranks.
@@ -65,13 +65,9 @@ def cmd_train(args) -> int:
             f"{features.shape[0]} samples in {args.features}"
         )
     data = LabeledFeatures(features, labels)
-    sched = replace(
-        default_schedule(data.n, args.batch, seed=args.seed), outer=args.outer
-    )
+    sched = replace(default_schedule(data.n, args.batch, seed=args.seed), outer=args.outer)
     hp = Hyperparams(alpha=args.alpha, beta=args.beta, theta=args.theta, gamma=args.gamma)
-    sgd = SgdConfig(
-        learning_rate=args.lr, weight_decay=args.weight_decay, momentum=args.momentum
-    )
+    sgd = SgdConfig(learning_rate=args.lr, weight_decay=args.weight_decay, momentum=args.momentum)
     state = train(data, args.bits, hp, sched, sgd, dr_dim=args.dr_dim)
 
     with _text_out(args.log) as out:
@@ -86,18 +82,10 @@ def cmd_train(args) -> int:
         "bits": args.bits,
         "samples": data.n,
         "feature_dim": data.dim,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "theta": args.theta,
-        "gamma": args.gamma,
-        "learning_rate": args.lr,
-        "weight_decay": args.weight_decay,
-        "momentum": args.momentum,
-        "batch": sched.batch,
-        "outer": sched.outer,
-        "inner": sched.inner,
         "dr_dim": args.dr_dim,
-        "seed": args.seed,
+        **asdict(hp),
+        **asdict(sgd),
+        **asdict(sched),
     }
     save_model(args.out, state.params, metadata)
     return 0
@@ -197,16 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("labels", help="HSL1 label file")
     p.add_argument("-o", "--out", required=True, help="output model path (JSON)")
     p.add_argument("--bits", type=int, default=16, help="code length (default 16)")
-    p.add_argument("--alpha", type=float, default=0.01, help="similarity weight")
-    p.add_argument("--beta", type=float, default=0.01, help="quantization weight")
-    p.add_argument("--gamma", type=float, default=0.01, help="balance weight")
-    p.add_argument("--theta", type=float, default=0.001, help="independence weight")
-    p.add_argument("--lr", type=float, default=1e-4, help="learning rate")
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--alpha", type=float, default=Hyperparams.alpha, help="similarity weight")
+    p.add_argument("--beta", type=float, default=Hyperparams.beta, help="quantization weight")
+    p.add_argument("--gamma", type=float, default=Hyperparams.gamma, help="balance weight")
+    p.add_argument("--theta", type=float, default=Hyperparams.theta, help="independence weight")
+    p.add_argument("--lr", type=float, default=SgdConfig.learning_rate, help="learning rate")
+    p.add_argument("--weight-decay", type=float, default=SgdConfig.weight_decay)
+    p.add_argument("--momentum", type=float, default=SgdConfig.momentum)
     p.add_argument("--batch", type=int, default=256, help="minibatch size")
-    p.add_argument("--outer", type=int, default=5, help="outer code-update rounds")
-    p.add_argument("--dr-dim", type=int, default=800,
+    p.add_argument("--outer", type=int, default=OUTER_ROUNDS, help="outer code-update rounds")
+    p.add_argument("--dr-dim", type=int, default=DR_DIM,
                    help="reduction layer width (capped at the feature dim)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", help="write per-batch loss lines here instead of stdout")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .numerics import as_float
+from .numerics import as_float, check_value
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class Hyperparams:
     def __post_init__(self):
         for name in ("alpha", "beta", "theta", "gamma"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise InvalidInput(f"{name} must be finite and non-negative, got {value}")
+            check_value(value, name, "finite and non-negative", lambda v: np.isfinite(v) and v >= 0)
             # A numpy float64 weight would widen a float32 loss to float64.
             object.__setattr__(self, name, float(value))
 

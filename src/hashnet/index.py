@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, InvalidInput, UndefinedMetric
-from .numerics import as_float
+from .numerics import as_float, check_int
 
 # Lane dtypes, widest first; a code set uses the first that divides its byte length.
 _LANES = tuple(np.dtype(t) for t in (np.uint64, np.uint32, np.uint16, np.uint8))
@@ -102,8 +102,7 @@ def unpack(packed: PackedCodes) -> np.ndarray:
 
 def hamming(a: bytes, b: bytes, bits: int) -> int:
     """Number of differing bits between two packed codes of equal length."""
-    if bits < 1:
-        raise InvalidInput(f"code length must be >= 1, got {bits}")
+    check_int(bits, "code length", 1)
     expect = (bits + 7) // 8
     if len(a) != expect or len(b) != expect:
         raise InvalidInput(
@@ -133,10 +132,7 @@ def search(db: PackedCodes, query: bytes, k: int) -> list[tuple[int, int]]:
     more results than the database holds returns everything.  The query is
     one packed code, so its pad bits must be zero.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise InvalidInput(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
+    check_int(k, "k", 1)
     if db.n == 0:
         raise InvalidInput("cannot search an empty database")
     if len(query) != db.code_bytes:
@@ -181,7 +177,8 @@ def mean_average_precision(rankings, query_labels, db_labels) -> float:
     Each ranking is an ordered sequence of (database id, distance) pairs
     produced by search; relevance means sharing the query's class label.
     Queries with no relevant item in their ranking are excluded; if that
-    leaves no query at all the metric is undefined.
+    leaves no query at all the metric is undefined.  Every id must index
+    `db_labels`.
     """
     if len(rankings) != len(query_labels):
         raise InvalidInput(
@@ -191,5 +188,7 @@ def mean_average_precision(rankings, query_labels, db_labels) -> float:
     aps = []
     for ranking, qlabel in zip(rankings, query_labels):
         ids = np.fromiter((i for i, _ in ranking), dtype=np.int64, count=len(ranking))
+        if ids.size and not 0 <= ids.min() <= ids.max() < len(db_labels):
+            raise InvalidInput(f"ranking ids must index the {len(db_labels)} database labels")
         aps.append(_average_precisions((db_labels[ids] == qlabel)[np.newaxis]))
     return _mean_ap(aps)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .numerics import as_float
+from .numerics import as_float, check_int, check_value
 
 ACTIVATIONS = ("identity", "sigmoid", "scaled_sigmoid")
 
@@ -103,12 +103,9 @@ class SgdConfig:
     def __post_init__(self):
         # learning_rate 0 is allowed so a frozen network can run the
         # surrounding loop machinery.
-        if not self.learning_rate >= 0:
-            raise InvalidInput(f"learning rate must be >= 0, got {self.learning_rate}")
-        if not self.weight_decay >= 0:
-            raise InvalidInput(f"weight decay must be >= 0, got {self.weight_decay}")
-        if not 0 <= self.momentum < 1:
-            raise InvalidInput(f"momentum must be in [0, 1), got {self.momentum}")
+        check_value(self.learning_rate, "learning rate", ">= 0", lambda v: v >= 0)
+        check_value(self.weight_decay, "weight decay", ">= 0", lambda v: v >= 0)
+        check_value(self.momentum, "momentum", "in [0, 1)", lambda v: 0 <= v < 1)
 
 
 @dataclass
@@ -125,8 +122,7 @@ def head_spec_for(code_length: int) -> HeadSpec:
     Standard lengths come from a fixed table; anything else gets a monotone
     extension of the table's growth pattern.
     """
-    if code_length < 1:
-        raise InvalidInput(f"code length must be >= 1, got {code_length}")
+    check_int(code_length, "code length", 1)
     if code_length in _HEAD_TABLE:
         return HeadSpec(code_length, _HEAD_TABLE[code_length])
     hidden = (max(90, 2 * code_length + 40), max(20, math.ceil(1.6 * code_length)))
@@ -137,8 +133,7 @@ def init_head_layers(in_dim: int, spec: HeadSpec, rng: np.random.Generator) -> l
     """Randomly initialized head: two sigmoid layers and a scaled-sigmoid
     output layer, weights uniform in +-sqrt(6 / (fan_in + fan_out)), zero
     biases."""
-    if in_dim < 1:
-        raise InvalidInput(f"input dim must be >= 1, got {in_dim}")
+    check_int(in_dim, "input dim", 1)
     dims = [in_dim, spec.hidden[0], spec.hidden[1], spec.code_length]
     acts = ["sigmoid", "sigmoid", "scaled_sigmoid"]
     layers = []

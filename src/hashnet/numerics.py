@@ -45,6 +45,17 @@ def check_int(value, name: str, minimum: int) -> None:
         raise InvalidInput(f"{name} must be >= {minimum}, got {value}")
 
 
+def check_value(value, name: str, rule: str, test) -> None:
+    """Raise InvalidInput, saying `value` must be `rule`, unless test(value)
+    holds; a value the test cannot compare (a string, None) fails it."""
+    try:
+        valid = bool(test(value))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise InvalidInput(f"{name} must be {rule}, got {value}")
+
+
 def _as_square(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

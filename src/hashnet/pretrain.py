@@ -72,7 +72,8 @@ def _pretrain(features, p: int, bits: int) -> tuple[PcaModel, np.ndarray]:
     if x.ndim != 2 or x.shape[0] < 2:
         raise InvalidInput(f"need at least 2 samples in a 2-d array, got shape {x.shape}")
     n, d = x.shape
-    if not 1 <= p <= d:
+    check_int(p, "target dim", 1)
+    if p > d:
         raise InvalidInput(f"target dim {p} must be in 1..{d}")
     mean = x.mean(axis=0, dtype=np.float64)
     centered = x - mean
@@ -139,11 +140,14 @@ def init_binary_codes(features, bits: int, seed: int, iters: int = ITQ_ITERS) ->
     matrix of +-1."""
     x = as_float(features)
     _check_code_shape(x, bits)
+    check_int(iters, "iteration count", 1)
+    check_int(seed, "seed", 0)
     return itq(_pretrain(x, bits, bits)[1], iters=iters, seed=seed)
 
 
 def _check_code_shape(x: np.ndarray, bits: int) -> None:
     """Reject (n x d) features too small for ITQ to give them bits-bit codes."""
+    check_int(bits, "code length", 1)
     if x.ndim != 2 or x.shape[0] < bits:
         raise InvalidInput(
             f"need at least {bits} samples for {bits}-bit codes, got shape {x.shape}"

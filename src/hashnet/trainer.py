@@ -41,6 +41,11 @@ from .pretrain import ITQ_ITERS, PcaModel, _check_code_shape, _pretrain, itq, pc
 # Abort when a batch loss exceeds this multiple of the first batch loss.
 DIVERGENCE_FACTOR = 1e6
 
+# Outer rounds of `default_schedule` and reduction layer width of `train`,
+# also the defaults of `hashnet train --outer` and `--dr-dim`.
+OUTER_ROUNDS = 5
+DR_DIM = 800
+
 
 @dataclass(frozen=True)
 class TrainSchedule:
@@ -114,12 +119,13 @@ class TrainState:
 
 
 def default_schedule(n: int, batch: int, seed: int = 0) -> TrainSchedule:
-    """Standard schedule: 5 outer rounds, ceil(4n / batch) inner steps
-    (about four passes over the data per round)."""
+    """Standard schedule: OUTER_ROUNDS outer rounds, ceil(4n / batch)
+    inner steps (about four passes over the data per round)."""
+    check_int(n, "sample count", 1)
     check_int(batch, "batch size", 1)
     if batch > n:
         raise InvalidInput(f"batch size {batch} exceeds sample count {n}")
-    return TrainSchedule(outer=5, inner=math.ceil(4 * n / batch), batch=batch, seed=seed)
+    return TrainSchedule(OUTER_ROUNDS, math.ceil(4 * n / batch), batch, seed)
 
 
 def init_network(
@@ -136,10 +142,8 @@ def init_network(
 
 
 def _reduction_width(bits: int, dr_dim: int, dim: int) -> int:
-    if bits < 1:
-        raise InvalidInput(f"code length must be >= 1, got {bits}")
-    if dr_dim < 1:
-        raise InvalidInput(f"reduction dim must be >= 1, got {dr_dim}")
+    check_int(bits, "code length", 1)
+    check_int(dr_dim, "reduction dim", 1)
     return min(dr_dim, dim)
 
 
@@ -194,20 +198,16 @@ def _folded(params: NetworkParams) -> NetworkParams:
 
 def update_codes(params: NetworkParams, features, batch: int = 256) -> np.ndarray:
     """Sign of the network output over all samples, computed in column
-    blocks of at most `batch`.  The block size can change an output by
-    float32 rounding (a matrix product of another shape may sum in
-    another order), so it can change a code bit only where the output is
-    within float32 rounding of 0.  `encode` uses the default.
-
-    The codes are those of a float32 copy of the network, whatever the
-    dtype of `params`, on the features as float32: the arithmetic of
-    training's code refresh.  An identity layer (the PCA reduction) is
-    folded into the layer after it wherever that cuts the multiplies per
-    sample.  The choice depends on the model alone, so the same layers run
-    however many samples a call has.  Outputs can differ from float64
-    `forward` on the unfolded network by float32 rounding, so a code bit
-    can differ from its sign only where an output is within float32
-    rounding of 0.  `params` is not changed."""
+    blocks of at most `batch`; `encode` and `train`'s code refresh use the
+    default.  The codes are those of a float32 copy of the network,
+    whatever the dtype of `params`, on the features as float32.  An
+    identity layer (the PCA reduction) is folded into the layer after it
+    wherever that cuts the multiplies per sample; the choice depends on
+    the model alone, so the same layers run however many samples a call
+    has.  Another block size, or float64 `forward` on the unfolded network,
+    can change an output by float32 rounding (a matrix product of another
+    shape may sum in another order), so a code bit only where the output
+    is within float32 rounding of 0.  `params` is not changed."""
     blocks = _forward_blocks(_float32_copy(params), features, batch)
     out = np.empty((params.out_dim, len(features)))
     for start, block in blocks:
@@ -233,7 +233,7 @@ def train(
     hp: Hyperparams,
     sched: TrainSchedule,
     sgd: SgdConfig,
-    dr_dim: int = 800,
+    dr_dim: int = DR_DIM,
 ) -> TrainState:
     """Run the full alternating optimization and return the final state.
 
@@ -298,7 +298,7 @@ def train(
                 first_total = total
             sgd_step(params, backward(compute, tape, grad), sgd, velocity)
             history.append(BatchRecord(k, t, total, *terms))
-        codes = update_codes(params, features32, sched.batch)
+        codes = update_codes(params, features32)
 
     return TrainState(params=params, codes=codes, history=history)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hashnet.cli
+import hashnet.pretrain
 from hashnet.cli import main
 from hashnet.errors import UndefinedMetric
 from hashnet.formats import (
@@ -58,6 +59,24 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert main([command, *inputs, "-o", str(out), "--bits", "4", "--seed", "-1"]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_itq_zero_bits_exits_2_with_a_code_length_message(tmp_path, capsys):
+    fpath, _, _, _ = two_class_files(tmp_path, n=40)
+    out = tmp_path / "o.hsb"
+    assert main(["itq", str(fpath), "-o", str(out), "--bits", "0"]) == 2
+    assert "code length must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--iters", "0")])
+def test_itq_rejects_seed_and_iters_before_fitting_pca(tmp_path, monkeypatch, flag, value):
+    fpath, _, _, _ = two_class_files(tmp_path, n=40)
+    fits = []
+    monkeypatch.setattr(hashnet.pretrain, "_pretrain", lambda *a: fits.append(a))
+    assert main(["itq", str(fpath), "-o", str(tmp_path / "o.hsb"), "--bits", "4",
+                 flag, value]) == 2
+    assert fits == []
 
 
 def test_write_into_missing_directory_names_the_target(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hashnet.hashloss import (
     loss_terms_and_grad,
     similarity_matrix,
 )
+from hashnet.network import SgdConfig
 
 
 def similarity_oracle(labels_a, labels_b):
@@ -192,6 +193,30 @@ def test_grad_finite_difference_sweep(seed):
     S = similarity_matrix(rng.integers(0, 3, size=m))
     hp = Hyperparams(*rng.uniform(0, 1, size=4))
     assert np.max(np.abs(loss_grad(F, B, S, hp) - fd_grad(F, B, S, hp))) <= 1e-6
+
+
+WEIGHTS = {
+    "alpha": lambda v: Hyperparams(alpha=v),
+    "theta": lambda v: Hyperparams(theta=v),
+    "learning_rate": lambda v: SgdConfig(learning_rate=v),
+    "weight_decay": lambda v: SgdConfig(weight_decay=v),
+    "momentum": lambda v: SgdConfig(momentum=v),
+}
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+@pytest.mark.parametrize("value", ["x", None, [0.5], 0.5j, np.array([0.5, 0.5])],
+                         ids=["str", "None", "list", "complex", "array"])
+def test_weights_reject_non_numbers(weight, value):
+    with pytest.raises(InvalidInput):
+        WEIGHTS[weight](value)
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+@pytest.mark.parametrize("value", [0, 0.5, False, np.float32(0.5), np.int64(0), np.array(0.5)],
+                         ids=["int", "float", "bool", "float32", "int64", "0-d"])
+def test_weights_accept_numbers_of_any_numeric_type(weight, value):
+    WEIGHTS[weight](value)
 
 
 def test_hyperparams_reject_negative():

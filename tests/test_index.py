@@ -325,6 +325,12 @@ def test_map_excludes_queries_without_relevant_items():
     assert got == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad_id", [-1, 2])
+def test_map_rejects_ranking_ids_outside_db_labels(bad_id):
+    with pytest.raises(InvalidInput, match="ranking ids"):
+        mean_average_precision([[(0, 0), (bad_id, 1)]], [3], [3, 4])
+
+
 def test_map_undefined_when_nothing_relevant():
     with pytest.raises(UndefinedMetric):
         mean_average_precision([[(0, 0)]], [5], [1])

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from hashnet.errors import InvalidInput
+from hashnet.hashloss import Hyperparams
+from hashnet.index import hamming, pack, search
+from hashnet.network import SgdConfig, head_spec_for, init_head_layers
 from hashnet.numerics import procrustes_rotation, sym_eig
+from hashnet.pretrain import init_binary_codes, pca_fit
+from hashnet.trainer import LabeledFeatures, TrainSchedule, default_schedule, init_network, train
 
 
 def random_orthogonal(rng, n):
@@ -108,3 +113,44 @@ def test_procrustes_degenerate_inputs():
 def test_procrustes_rejects_non_square():
     with pytest.raises(InvalidInput):
         procrustes_rotation(np.zeros((2, 3)))
+
+
+_X = np.random.default_rng(0).standard_normal((40, 8))
+_DATA = LabeledFeatures(_X, np.arange(40) % 2)
+_SCHED = TrainSchedule(outer=1, inner=1, batch=8)
+_DB = pack(np.ones((8, 3)))
+
+
+def _train(bits=4, dr_dim=8):
+    return train(_DATA, bits, Hyperparams(), _SCHED, SgdConfig(), dr_dim=dr_dim)
+
+
+# Integer arguments of the library, as (call of the value, minimum).  Those of
+# TrainSchedule, itq and the encode block size have tests of their own.
+INTEGER_ARGUMENTS = {
+    "train bits": (lambda v: _train(bits=v), 1),
+    "train dr_dim": (lambda v: _train(dr_dim=v), 1),
+    "init_network bits": (lambda v: init_network(_X, v, 8, np.random.default_rng(0)), 1),
+    "init_network dr_dim": (lambda v: init_network(_X, 4, v, np.random.default_rng(0)), 1),
+    "init_binary_codes bits": (lambda v: init_binary_codes(_X, v, 0), 1),
+    "init_binary_codes seed": (lambda v: init_binary_codes(_X, 4, v), 0),
+    "init_binary_codes iters": (lambda v: init_binary_codes(_X, 4, 0, iters=v), 1),
+    "pca_fit p": (lambda v: pca_fit(_X, v), 1),
+    "head_spec_for code_length": (head_spec_for, 1),
+    "init_head_layers in_dim": (
+        lambda v: init_head_layers(v, head_spec_for(4), np.random.default_rng(0)), 1
+    ),
+    "default_schedule n": (lambda v: default_schedule(v, 1), 1),
+    "default_schedule batch": (lambda v: default_schedule(40, v), 1),
+    "hamming bits": (lambda v: hamming(b"\0", b"\0", v), 1),
+    "search k": (lambda v: search(_DB, b"\0", v), 1),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("bad", ["1.5", "True", "minimum - 1"])
+def test_integer_arguments_reject_floats_bools_and_values_below_minimum(call, bad):
+    run, minimum = INTEGER_ARGUMENTS[call]
+    value = {"1.5": 1.5, "True": True, "minimum - 1": minimum - 1}[bad]
+    with pytest.raises(InvalidInput):
+        run(value)

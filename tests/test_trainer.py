@@ -250,6 +250,22 @@ def test_update_codes_encodes_through_the_float32_network():
     assert params.layers[0].weights.tobytes() == weights.tobytes()
 
 
+def test_train_refreshes_codes_in_encode_blocks_at_any_batch(monkeypatch):
+    blocks = []
+    real = trainer._forward_blocks
+
+    def spy(params, features, batch):
+        blocks.append(batch)
+        return real(params, features, batch)
+
+    monkeypatch.setattr(trainer, "_forward_blocks", spy)
+    data = two_cluster_data(n=300)
+    sched = TrainSchedule(outer=2, inner=2, batch=16, seed=1)
+    state = train(data, 8, Hyperparams(), sched, SgdConfig())
+    assert blocks == [256, 256]
+    assert np.array_equal(update_codes(state.params, data.features), state.codes)
+
+
 def test_update_codes_rejects_dim_mismatch():
     data = two_cluster_data(n=50)
     params = init_network(data.features, 8, 16, np.random.default_rng(7))
@@ -417,12 +433,12 @@ def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
         seen["sgd"] += [v.dtype for pair in velocity for v in pair]
         return real["sgd_step"](params, grads, cfg, velocity)
 
-    def refresh32(net, features, batch):
+    def refresh32(net, features, *block):
         seen["refresh"].append(features.dtype)
         seen["master"] += [a.dtype for l in net.layers for a in (l.weights, l.bias)]
         refreshing.append(True)
         try:
-            return real["update_codes"](net, features, batch)
+            return real["update_codes"](net, features, *block)
         finally:
             refreshing.pop()
 
