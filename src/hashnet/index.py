@@ -177,18 +177,24 @@ def mean_average_precision(rankings, query_labels, db_labels) -> float:
     Each ranking is an ordered sequence of (database id, distance) pairs
     produced by search; relevance means sharing the query's class label.
     Queries with no relevant item in their ranking are excluded; if that
-    leaves no query at all the metric is undefined.  Every id must index
-    `db_labels`.
+    leaves no query at all the metric is undefined.  Every id must be an
+    integer indexing `db_labels`.  A ranking's ids are checked as one numpy
+    array, not one by one: an id numpy does not read as an integer (a
+    float, a bool, a string, None) raises, but a bool among integer ids
+    counts as 0 or 1.
     """
     if len(rankings) != len(query_labels):
         raise InvalidInput(
             f"{len(rankings)} rankings for {len(query_labels)} query labels"
         )
     db_labels = np.asarray(db_labels)
+    n_db = len(db_labels)
     aps = []
     for ranking, qlabel in zip(rankings, query_labels):
-        ids = np.fromiter((i for i, _ in ranking), dtype=np.int64, count=len(ranking))
-        if ids.size and not 0 <= ids.min() <= ids.max() < len(db_labels):
-            raise InvalidInput(f"ranking ids must index the {len(db_labels)} database labels")
+        ids = np.array([i for i, _ in ranking])
+        if not ids.size:  # numpy reads no ids as float; an empty ranking adds no AP
+            continue
+        if ids.dtype.kind not in "iu" or not 0 <= ids.min() <= ids.max() < n_db:
+            raise InvalidInput(f"ranking ids must be integers indexing the {n_db} database labels")
         aps.append(_average_precisions((db_labels[ids] == qlabel)[np.newaxis]))
     return _mean_ap(aps)

@@ -93,6 +93,13 @@ class HeadSpec:
     code_length: int
     hidden: tuple[int, int]
 
+    def __post_init__(self):
+        check_int(self.code_length, "code length", 1)
+        if not isinstance(self.hidden, tuple) or len(self.hidden) != 2:
+            raise InvalidInput(f"hidden widths must be a pair, got {self.hidden!r}")
+        for width in self.hidden:
+            check_int(width, "hidden width", 1)
+
 
 @dataclass(frozen=True)
 class SgdConfig:
@@ -103,8 +110,9 @@ class SgdConfig:
     def __post_init__(self):
         # learning_rate 0 is allowed so a frozen network can run the
         # surrounding loop machinery.
-        check_value(self.learning_rate, "learning rate", ">= 0", lambda v: v >= 0)
-        check_value(self.weight_decay, "weight decay", ">= 0", lambda v: v >= 0)
+        rates = {"learning rate": self.learning_rate, "weight decay": self.weight_decay}
+        for name, value in rates.items():
+            check_value(value, name, "finite and non-negative", lambda v: np.isfinite(v) and v >= 0)
         check_value(self.momentum, "momentum", "in [0, 1)", lambda v: 0 <= v < 1)
 
 

@@ -10,10 +10,10 @@ for a fixed seed.
 Training computes in float32 against float64 master weights: each step
 runs forward, loss and backward on a float32 copy of the network and
 applies the float32 gradients to the float64 weights in float64.  The
-returned parameters, and so the model file, stay float64.  Encoding
-(`update_codes`: each code refresh, `encode` and the library) runs a
-float32 copy of whatever network it is given, so `encode` of the training
-features gives `train`'s final codes.
+returned parameters, and so the model file, stay float64.  A full-rank
+PCA layer is folded into the head once, at init, so training, each code
+refresh, `encode` and `quantization_gap` run the stored layers; encoding
+runs a float32 copy, so `encode` of the training features gives `train`'s codes.
 """
 
 import math
@@ -131,11 +131,8 @@ def default_schedule(n: int, batch: int, seed: int = 0) -> TrainSchedule:
 def init_network(
     features, bits: int, dr_dim: int, rng: np.random.Generator
 ) -> NetworkParams:
-    """Fresh model: PCA-initialized dimension-reduction layer (identity
-    activation) plus a randomly initialized hashing head.
-
-    The reduction width is capped at the feature dimension.
-    """
+    """Fresh model: the network `train` starts from (`_network_on`), on a
+    PCA of the features to min(dr_dim, feature dimension) components."""
     features = as_float(features)
     p = _reduction_width(bits, dr_dim, features.shape[1])
     return _network_on(pca_fit(features, p), bits, rng)
@@ -148,9 +145,15 @@ def _reduction_width(bits: int, dr_dim: int, dim: int) -> int:
 
 
 def _network_on(pca: PcaModel, bits: int, rng: np.random.Generator) -> NetworkParams:
-    """The PCA reduction layer followed by a randomly initialized head."""
-    head = init_head_layers(len(pca.eigenvalues), head_spec_for(bits), rng)
-    return NetworkParams([pca.dr_layer()] + head)
+    """The PCA reduction layer a and a random head.  A full-rank a is merged
+    into the first head layer b as (W_b W_a, W_b b_a + b_b); a real
+    reduction stays a layer, so it still bounds the rank after it."""
+    a = pca.dr_layer()
+    b, *rest = init_head_layers(a.out_dim, head_spec_for(bits), rng)
+    if a.out_dim < a.in_dim:
+        return NetworkParams([a, b] + rest)
+    ab = Layer(b.weights @ a.weights, b.weights @ a.bias + b.bias, b.activation)
+    return NetworkParams([ab] + rest)
 
 
 def _float32_copy(params: NetworkParams) -> NetworkParams:
@@ -173,41 +176,21 @@ def _forward_blocks(params: NetworkParams, features, batch: int):
             f"features shape {features.shape} does not match network input dim {params.in_dim}"
         )
     check_int(batch, "block size", 1)
-    folded = _folded(params)
     return (
-        (start, forward(folded, features[start : start + batch].T)[0])
+        (start, forward(params, features[start : start + batch].T)[0])
         for start in range(0, features.shape[0], batch)
     )
-
-
-def _folded(params: NetworkParams) -> NetworkParams:
-    """A copy of the network with each identity layer a merged into the
-    layer b after it, b(W_a x + b_a) = (W_b W_a) x + (W_b b_a + b_b), where
-    that cuts the multiplies per sample.  The rule looks at shapes only, so
-    every call on one model runs the same layers.  Builds new layers;
-    `params` is never mutated."""
-    layers = [params.layers[0]]
-    for b in params.layers[1:]:
-        a = layers[-1]
-        if a.activation == "identity" and b.out_dim * a.in_dim < a.out_dim * (a.in_dim + b.out_dim):
-            layers[-1] = Layer(b.weights @ a.weights, b.weights @ a.bias + b.bias, b.activation)
-        else:
-            layers.append(b)
-    return NetworkParams(layers)
 
 
 def update_codes(params: NetworkParams, features, batch: int = 256) -> np.ndarray:
     """Sign of the network output over all samples, computed in column
     blocks of at most `batch`; `encode` and `train`'s code refresh use the
     default.  The codes are those of a float32 copy of the network,
-    whatever the dtype of `params`, on the features as float32.  An
-    identity layer (the PCA reduction) is folded into the layer after it
-    wherever that cuts the multiplies per sample; the choice depends on
-    the model alone, so the same layers run however many samples a call
-    has.  Another block size, or float64 `forward` on the unfolded network,
-    can change an output by float32 rounding (a matrix product of another
-    shape may sum in another order), so a code bit only where the output
-    is within float32 rounding of 0.  `params` is not changed."""
+    whatever the dtype of `params`, on the features as float32; it runs
+    exactly the layers `params` holds.  Another block size, or float64
+    `forward`, can change an output by float32 rounding (a matrix product
+    of another shape may sum in another order), so a code bit only where
+    the output is within float32 rounding of 0.  `params` is not changed."""
     blocks = _forward_blocks(_float32_copy(params), features, batch)
     out = np.empty((params.out_dim, len(features)))
     for start, block in blocks:
@@ -237,10 +220,10 @@ def train(
 ) -> TrainState:
     """Run the full alternating optimization and return the final state.
 
-    Flow: build the network (PCA reduction layer + random head), start the
-    binary codes from ITQ_ITERS iterations of ITQ, then for each outer
-    round run `sched.inner` minibatch SGD steps against the frozen codes
-    and re-binarize the codes from the updated network.  One PCA serves both the reduction layer and
+    Flow: build the network (`_network_on`), start the binary codes from
+    ITQ_ITERS iterations of ITQ, then for each outer round run `sched.inner`
+    minibatch SGD steps against the frozen codes and re-binarize the codes
+    from the updated network.  One PCA serves both the reduction layer and
     ITQ.  Raises DivergenceError if a batch loss goes non-finite or
     explodes past 1e6 times the first positive batch loss.
 

@@ -122,6 +122,15 @@ def test_train_log_loss_decreases(tmp_path):
     assert total[outer == outer.max()].mean() < total[outer == 1].mean()
 
 
+@pytest.mark.parametrize("flag", ["--lr", "--weight-decay"])
+def test_non_finite_sgd_rate_exits_2(tmp_path, capsys, flag):
+    fpath, lpath, _, _ = two_class_files(tmp_path, n=40)
+    out = tmp_path / "m.json"
+    assert main(["train", str(fpath), str(lpath), "-o", str(out), "--batch", "16", flag, "inf"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_mismatched_labels(tmp_path, capsys):
     fpath, lpath, _, _ = two_class_files(tmp_path, n=40)
     write_labels(lpath, np.zeros(7, dtype=int))
@@ -147,11 +156,21 @@ def test_encode_matches_forward_and_is_deterministic(tmp_path):
 
 
 def test_encode_of_the_training_features_gives_trains_final_codes(tmp_path):
-    fpath, _, feats, labels = two_class_files(tmp_path, seed=5, n=200, d=24)
+    assert_encode_gives_trains_final_codes(tmp_path, d=24, bits=16)
+
+
+def test_encode_of_512_dim_training_features_gives_trains_final_codes(tmp_path):
+    # a full-rank reduction: the model holds the folded network
+    assert_encode_gives_trains_final_codes(tmp_path, d=512, bits=32)
+
+
+def assert_encode_gives_trains_final_codes(tmp_path, d, bits):
+    fpath, _, feats, labels = two_class_files(tmp_path, seed=5, n=200, d=d)
     state = train(
-        LabeledFeatures(feats, labels), 16, Hyperparams(),
+        LabeledFeatures(feats, labels), bits, Hyperparams(),
         TrainSchedule(outer=2, inner=20, batch=32, seed=7), SgdConfig(learning_rate=0.5),
     )
+    assert "identity" not in [layer.activation for layer in state.params.layers]
     model, out, want = tmp_path / "m.json", tmp_path / "c.hsb", tmp_path / "want.hsb"
     save_model(model, state.params, {})
     assert main(["encode", str(model), str(fpath), "-o", str(out)]) == 0

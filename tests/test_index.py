@@ -331,6 +331,17 @@ def test_map_rejects_ranking_ids_outside_db_labels(bad_id):
         mean_average_precision([[(0, 0), (bad_id, 1)]], [3], [3, 4])
 
 
+@pytest.mark.parametrize("bad_id", [1.5, 1.0, np.float64(1.0), True, False, "1", None, 2**70])
+def test_map_rejects_ranking_ids_that_are_not_integers(bad_id):
+    with pytest.raises(InvalidInput, match="ranking ids"):
+        mean_average_precision([[(bad_id, 0)]], [1], [0, 1])
+
+
+def test_map_accepts_numpy_integer_ids_and_empty_rankings():
+    assert mean_average_precision([[(np.int64(1), 0)]], [1], [0, 1]) == 1.0
+    assert mean_average_precision([[], [(1, 0)]], [1, 1], [0, 1]) == 1.0
+
+
 def test_map_undefined_when_nothing_relevant():
     with pytest.raises(UndefinedMetric):
         mean_average_precision([[(0, 0)]], [5], [1])

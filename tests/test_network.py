@@ -87,6 +87,12 @@ def test_head_spec_rejects_zero():
         head_spec_for(0)
 
 
+@pytest.mark.parametrize("bad", ["16", None, [8]])
+def test_head_spec_rejects_non_numbers(bad):
+    with pytest.raises(InvalidInput, match="code length"):
+        head_spec_for(bad)
+
+
 def test_forward_identity_network():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((4, 6))
@@ -299,6 +305,14 @@ def test_sgd_config_validation():
     with pytest.raises(InvalidInput):
         SgdConfig(weight_decay=-0.1)
     SgdConfig(learning_rate=0.0)  # zero step allowed for frozen-network runs
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_sgd_config_rejects_non_finite_rates(field, bad):
+    with pytest.raises(InvalidInput, match="finite"):
+        SgdConfig(**{field: bad})
+    SgdConfig(**{field: 1e300})  # every finite non-negative value stays accepted
 
 
 # Tolerances of the float32 path against float64, fixed from float32's unit

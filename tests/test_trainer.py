@@ -5,14 +5,21 @@ from hashnet import trainer
 from hashnet.errors import DivergenceError, InvalidInput
 from hashnet.hashloss import Hyperparams
 from hashnet.index import binarize
-from hashnet.network import Layer, NetworkParams, SgdConfig, forward
-from hashnet.pretrain import init_binary_codes
+from hashnet.network import (
+    Layer,
+    NetworkParams,
+    SgdConfig,
+    forward,
+    head_spec_for,
+    init_head_layers,
+)
+from hashnet.pretrain import init_binary_codes, pca_fit
 from hashnet.trainer import (
     LabeledFeatures,
     TrainSchedule,
     _batch_indices,
-    _folded,
     _forward_blocks,
+    _network_on,
     default_schedule,
     init_network,
     quantization_gap,
@@ -293,13 +300,13 @@ def test_quantization_gap_rejects_zero_samples():
 
 
 def blockwise_forward(params, features, batch):
-    """Oracle: `forward` of the unfolded network, block by block."""
+    """Oracle: `forward` of the network, block by block."""
     return np.hstack(
         [forward(params, features[s : s + batch].T)[0] for s in range(0, len(features), batch)]
     )
 
 
-def folded_outputs(params, features, batch):
+def block_outputs(params, features, batch):
     return np.hstack([block for _, block in _forward_blocks(params, features, batch)])
 
 
@@ -307,34 +314,34 @@ def same_layers(a, b):
     return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
-def random_network(dims, acts, seed=0):
-    rng = np.random.default_rng(seed)
-    return NetworkParams(
-        [
-            Layer(rng.uniform(-0.5, 0.5, (d_out, d_in)), rng.uniform(-0.5, 0.5, d_out), act)
-            for d_in, d_out, act in zip(dims, dims[1:], acts)
-        ]
-    )
-
-
-def test_folded_forward_blocks_match_unfolded_forward():
+def test_folded_initial_network_matches_unfolded_pca_layer_and_head():
     data = two_cluster_data(n=500, d=64)
-    params = init_network(data.features, 32, 64, np.random.default_rng(3))
-    assert params.layers[0].activation == "identity"
-    assert len(_folded(params).layers) == len(params.layers) - 1
-    got = folded_outputs(params, data.features, 64)
-    want = blockwise_forward(params, data.features, 64)
+    pca = pca_fit(data.features, 64)
+    folded = _network_on(pca, 32, np.random.default_rng(3))
+    head = init_head_layers(64, head_spec_for(32), np.random.default_rng(3))
+    unfolded = NetworkParams([pca.dr_layer()] + head)
+    assert [l.activation for l in folded.layers] == ["sigmoid", "sigmoid", "scaled_sigmoid"]
+    for got_layer, want_layer in zip(folded.layers[1:], head[1:]):
+        assert np.array_equal(got_layer.weights, want_layer.weights)
+    got = block_outputs(folded, data.features, 64)
+    want = blockwise_forward(unfolded, data.features, 64)
+    assert got.dtype == want.dtype == np.float64
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_folded_update_codes_matches_per_sample_oracle():
+def test_unfolded_identity_layer_update_codes_matches_per_sample_oracle():
+    # A hand-built identity layer, as a model file written before the fold
+    # at init holds: it is encoded as stored, unfolded.
     data = two_cluster_data(n=400)
-    params = init_network(data.features, 8, 16, np.random.default_rng(5))
-    assert len(_folded(params).layers) == len(params.layers) - 1
+    pca = pca_fit(data.features, 16)
+    head = init_head_layers(16, head_spec_for(8), np.random.default_rng(5))
+    params = NetworkParams([pca.dr_layer()] + head)
     codes = update_codes(params, data.features, 16)
     for i in range(400):
         out, _ = forward(params, data.features[[i]].T)
         assert np.array_equal(codes[:, [i]], binarize(out))
+    x = data.features
+    assert np.array_equal(block_outputs(params, x, 16), blockwise_forward(params, x, 16))
 
 
 def test_encoding_leaves_params_bitwise_unchanged():
@@ -350,50 +357,49 @@ def test_encoding_leaves_params_bitwise_unchanged():
         assert layer.activation == act
 
 
-def test_fold_does_not_depend_on_the_number_of_samples(monkeypatch):
+def test_codes_do_not_depend_on_the_number_of_samples():
     data = two_cluster_data(n=400)
     params = init_network(data.features, 8, 16, np.random.default_rng(5))
-    depths = []
-
-    def recording_forward(net, x):
-        depths.append(len(net.layers))
-        return forward(net, x)
-
-    monkeypatch.setattr(trainer, "forward", recording_forward)
     whole = update_codes(params, data.features, 256)
     for k in (1, 7, 50):
         assert np.array_equal(update_codes(params, data.features[:k], 256), whole[:, :k])
-    assert depths == [len(params.layers) - 1] * 5
-    x = data.features[:1]
-    assert np.max(np.abs(folded_outputs(params, x, 1) - forward(params, x.T)[0])) <= 1e-12
 
 
-def test_narrowing_identity_layer_is_not_folded():
-    params = random_network([16, 4, 90, 8], ["identity", "sigmoid", "scaled_sigmoid"])
-    x = np.random.default_rng(1).standard_normal((1000, 16))
-    assert same_layers(_folded(params).layers, params.layers)
-    assert np.array_equal(folded_outputs(params, x, 128), blockwise_forward(params, x, 128))
+# (d, dr_dim, bits): 100 of 512 at 32 bits is a reduction that folding would
+# still make cheaper, b.out·d < dr_dim·(d + b.out), but it bounds the rank of
+# the first hidden pre-activation, so it stays a layer of its own.
+@pytest.mark.parametrize("d, dr_dim, bits", [(16, 4, 8), (512, 100, 32)])
+def test_narrowing_reduction_layer_is_not_folded(d, dr_dim, bits):
+    data = two_cluster_data(n=200, d=d)
+    pca = pca_fit(data.features, dr_dim)
+    params = _network_on(pca, bits, np.random.default_rng(1))
+    head = init_head_layers(dr_dim, head_spec_for(bits), np.random.default_rng(1))
+    assert [l.activation for l in params.layers] == [
+        "identity", "sigmoid", "sigmoid", "scaled_sigmoid"
+    ]
+    assert params.layers[0].weights.tobytes() == pca.dr_layer().weights.tobytes()
+    for got, want in zip(params.layers[1:], head):
+        assert got.weights.tobytes() == want.weights.tobytes()
+    sched = TrainSchedule(outer=1, inner=1, batch=32, seed=2)
+    state = train(data, bits, Hyperparams(), sched, SgdConfig(), dr_dim=dr_dim)
+    h1, h2 = head_spec_for(bits).hidden
+    assert [l.weights.shape for l in state.params.layers] == [
+        (dr_dim, d), (h1, dr_dim), (h2, h1), (bits, h2)
+    ]
+    assert state.params.layers[0].activation == "identity"
 
 
-def test_consecutive_identity_layers_fold_into_the_next_layer():
-    params = random_network(
-        [16, 16, 16, 90, 8], ["identity", "identity", "sigmoid", "scaled_sigmoid"]
-    )
-    x = np.random.default_rng(2).standard_normal((500, 16))
-    folded = _folded(params)
-    assert [l.activation for l in folded.layers] == ["sigmoid", "scaled_sigmoid"]
-    assert folded.layers[1] is params.layers[3]
-    got = folded_outputs(params, x, 100)
-    assert np.max(np.abs(got - blockwise_forward(params, x, 100))) <= 1e-12
-
-
-def test_trailing_identity_layer_stays():
-    params = random_network([16, 16, 90, 8], ["identity", "sigmoid", "identity"])
-    x = np.random.default_rng(3).standard_normal((500, 16))
-    folded = _folded(params)
-    assert len(folded.layers) == 2 and folded.layers[-1] is params.layers[-1]
-    got = folded_outputs(params, x, 100)
-    assert np.max(np.abs(got - blockwise_forward(params, x, 100))) <= 1e-12
+def test_train_on_512_dims_saves_three_layers_and_no_identity_layer():
+    rng = np.random.default_rng(4)
+    centres = 2.0 * rng.standard_normal((4, 512))
+    labels = np.arange(600) % 4
+    feats = (centres[labels] + rng.standard_normal((600, 512))).astype(np.float32)
+    sched = TrainSchedule(outer=2, inner=3, batch=64, seed=6)
+    state = train(LabeledFeatures(feats, labels), 32, Hyperparams(), sched, SgdConfig())
+    assert [l.activation for l in state.params.layers] == [
+        "sigmoid", "sigmoid", "scaled_sigmoid"
+    ]
+    assert [l.weights.shape for l in state.params.layers] == [(120, 512), (50, 120), (32, 50)]
 
 
 def test_labeled_features_validation():
@@ -484,6 +490,14 @@ def test_train_fits_one_pca_for_the_network_and_itq(monkeypatch):
         state = train(data, 8, Hyperparams(), sched, SgdConfig(learning_rate=0.0), dr_dim=dr_dim)
         assert fits == [fit]
         reduction = real_fit(data.features, min(dr_dim, 16)).dr_layer()
+        if dr_dim == 800:  # a full-rank rotation, folded into the first head layer
+            first = init_head_layers(16, head_spec_for(8), np.random.default_rng(9))[0]
+            reduction = Layer(
+                first.weights @ reduction.weights,
+                first.weights @ reduction.bias + first.bias,
+                first.activation,
+            )
+        assert state.params.layers[0].activation == reduction.activation
         assert state.params.layers[0].weights.tobytes() == reduction.weights.tobytes()
         assert state.params.layers[0].bias.tobytes() == reduction.bias.tobytes()
         seed, start = starts[-1]
