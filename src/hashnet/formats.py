@@ -11,8 +11,9 @@ base64 little-endian f64 weight/bias payloads.  Readers reject wrong magic,
 truncation, trailing bytes, and non-finite floats with a message naming the
 file and byte offset, and check a declared length against the file size
 before reading it.  Features stay float32 from the file on: read_features
-returns the stored values in the buffer it reads them into, with no widened
-copy.  Writers are deterministic: the same inputs produce identical bytes,
+reads the payload into an array from numpy's allocator, with no zero-filled
+staging buffer, checks each slice of it for finite values as it arrives,
+and returns the stored values in that array, with no widened copy.  Writers are deterministic: the same inputs produce identical bytes,
 and a file is replaced whole or not at all.
 """
 
@@ -39,15 +40,20 @@ MODEL_FORMAT = "hashnet-model"
 MODEL_VERSION = 1
 
 _U32_MAX = 2**32 - 1
+# Payload bytes read_features reads and checks at a time: a multiple of 4,
+# so no float straddles two slices, and small enough to stay in cache.
+_SLICE_BYTES = 2**18
 
 
-def _read(path, magic: bytes, fields: tuple, payload_size, writable: bool = False):
+def _read(path, magic: bytes, fields: tuple, payload_size, check=None):
     """Read a container: `magic`, one u32 per name in `fields`, then a
     payload of payload_size(*header) bytes.  The declared size is checked
     against the file size before the payload is read, so a forged header
     cannot cause a large allocation.  Returns the header and the payload:
-    bytes, or with `writable` a bytearray the payload is read straight
-    into."""
+    bytes, or with `check` a writable uint8 array from numpy's allocator
+    (not zero-filled first) that the payload is read straight into, in
+    slices of _SLICE_BYTES; check(slice, file offset) sees each slice as it
+    arrives, while it is still in cache."""
     try:
         with open(path, "rb") as f:
             st = os.fstat(f.fileno())
@@ -65,10 +71,16 @@ def _read(path, magic: bytes, fields: tuple, payload_size, writable: bool = Fals
             header = struct.unpack(f"<{len(fields)}I", head[4:])
             count = payload_size(*header)
             payload = b""
-            if size - len(head) == count:
-                payload = bytearray(count) if writable else f.read(count)
-                if writable and f.readinto(payload) != count:
-                    payload = b""
+            if size - len(head) == count and check is None:
+                payload = f.read(count)
+            elif size - len(head) == count:
+                payload = np.empty(count, np.uint8)
+                for start in range(0, count, _SLICE_BYTES):
+                    part = payload[start : start + _SLICE_BYTES]
+                    if f.readinto(part) != len(part):
+                        payload = b""
+                        break
+                    check(part, len(head) + start)
     except OSError as exc:
         raise FormatError(f"{path}: cannot read file: {exc}") from None
     if len(payload) != count or size - len(head) != count:
@@ -124,15 +136,17 @@ def write_features(path, features):
 def read_features(path) -> np.ndarray:
     """Read an HSF1 file into a writable (n x d) float32 matrix: the stored
     values as they are, in the one buffer the payload is read into."""
+
+    def check_finite(part, offset):
+        finite = np.isfinite(part.view("<f4"))
+        if not np.all(finite):
+            bad = int(np.argmin(finite))
+            raise FormatError(f"{path}: non-finite float at offset {offset + 4 * bad}")
+
     (n, d), raw = _read(path, FEATURES_MAGIC, ("sample count", "feature dim"),
-                        lambda n, d: 4 * n * d, writable=True)
+                        lambda n, d: 4 * n * d, check_finite)
     # native float32: no copy, except on a big-endian machine
-    values = np.frombuffer(raw, dtype="<f4").astype(np.float32, copy=False)
-    finite = np.isfinite(values)
-    if not np.all(finite):
-        bad = int(np.argmin(finite))
-        raise FormatError(f"{path}: non-finite float at offset {12 + 4 * bad}")
-    return values.reshape(n, d)
+    return raw.view("<f4").astype(np.float32, copy=False).reshape(n, d)
 
 
 def write_labels(path, labels):

@@ -63,8 +63,10 @@ def _check_labels(labels) -> np.ndarray:
 def _pair_signs(labels: np.ndarray, dtype) -> np.ndarray:
     """The similarity matrix of checked labels in `dtype`, without
     checking them again."""
-    one = np.ones((), dtype=dtype)
-    return np.where(labels[:, None] == labels[None, :], one, -one)
+    sim = (labels[:, None] == labels[None, :]).astype(dtype)
+    sim *= 2
+    sim -= 1
+    return sim
 
 
 def _check_shapes(outputs, codes, sim):

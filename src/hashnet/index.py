@@ -85,10 +85,11 @@ def pack(codes) -> PackedCodes:
     codes = np.asarray(codes, dtype=np.float64)
     if codes.ndim != 2:
         raise InvalidInput(f"codes must be a bits x n matrix, got shape {codes.shape}")
-    if not np.all(np.abs(codes) == 1.0):
+    positive = codes == 1.0
+    if not np.all(positive | (codes == -1.0)):
         raise InvalidInput("codes must contain only +1 and -1")
     bits, n = codes.shape
-    as_bits = (codes.T > 0).astype(np.uint8)
+    as_bits = np.ascontiguousarray(positive.T)
     payload = np.packbits(as_bits, axis=1, bitorder="little").tobytes()
     return PackedCodes(n=n, bits=bits, payload=payload)
 

@@ -2,6 +2,7 @@ import base64
 import json
 import os
 import stat
+import struct
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import hashnet.formats
 from hashnet.errors import FormatError, InvalidInput
 from hashnet.formats import (
     load_model,
@@ -238,6 +240,8 @@ def test_features_io_holds_one_payload_copy(tmp_path):
     # is the returned matrix
     assert write_peak <= 1.5 * (4 * n * d)
     assert read_peak <= 1.5 * (4 * n * d)
+    # the payload is checked slice by slice, so no payload-sized mask
+    assert read_peak <= 1.05 * (4 * n * d)
 
 
 def test_read_features_returns_writable_float32(tmp_path):
@@ -250,6 +254,60 @@ def test_read_features_returns_writable_float32(tmp_path):
     assert got.tobytes() == x.tobytes()
     got[0, 0] = 7.0  # the caller owns the buffer; the file is untouched
     assert read_features(path).tobytes() == x.tobytes()
+
+
+SLICE_FLOATS = hashnet.formats._SLICE_BYTES // 4
+
+
+def write_hsf1(path, bits):
+    """An HSF1 file holding the float32 bit patterns `bits` (n x d uint32)."""
+    n, d = bits.shape
+    path.write_bytes(b"HSF1" + struct.pack("<2I", n, d) + bits.astype("<u4").tobytes())
+
+
+def finite_patterns(rng, shape):
+    # any finite float32 bit pattern: subnormals, -0.0 and the extremes too
+    bits = rng.integers(0, 2**32, size=shape, dtype=np.uint32)
+    exponent_all_ones = (bits & 0x7F800000) == 0x7F800000
+    bits[exponent_all_ones] ^= 0x00800000
+    return bits
+
+
+@pytest.mark.parametrize("shape", [
+    (0, 5), (1, 1), (3, 7), (50_000, 16),
+    (1, SLICE_FLOATS - 1), (1, SLICE_FLOATS), (1, SLICE_FLOATS + 1),
+    (3, SLICE_FLOATS // 2 + 3),
+])
+def test_read_features_matches_frombuffer(tmp_path, shape):
+    path = tmp_path / "x.hsf"
+    write_hsf1(path, finite_patterns(np.random.default_rng(shape[1]), shape))
+    blob = path.read_bytes()
+    oracle = np.frombuffer(blob[12:], "<f4").reshape(shape)
+    first, second = read_features(path), read_features(path)
+    for got in (first, second):
+        assert got.dtype == np.float32 and got.shape == shape
+        assert got.tobytes() == oracle.tobytes()
+        assert got.flags.writeable and got.flags.c_contiguous
+        root = got
+        while root.base is not None:
+            root = root.base
+        assert isinstance(root, np.ndarray) and root.flags.owndata
+    assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("bad", [0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00001, 0x7F800001])
+@pytest.mark.parametrize("index", [0, SLICE_FLOATS - 1, SLICE_FLOATS, -1])
+def test_read_features_names_first_non_finite_offset(tmp_path, bad, index):
+    # +inf, -inf, quiet NaN, negative NaN with payload, signalling NaN; at
+    # the first float, either side of a slice boundary and the last float
+    n, d = 3, SLICE_FLOATS // 2 + 3
+    bits = finite_patterns(np.random.default_rng(9), (n, d)).ravel()
+    bits[index] = bad
+    bits[-1] = bad  # a later non-finite float is not the one named
+    write_hsf1(tmp_path / "x.hsf", bits.reshape(n, d))
+    offset = 12 + 4 * (index % (n * d))
+    with pytest.raises(FormatError, match=rf"non-finite float at offset {offset}$"):
+        read_features(tmp_path / "x.hsf")
 
 
 def test_write_features_does_not_widen_float32(tmp_path):

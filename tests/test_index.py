@@ -88,9 +88,29 @@ def test_pack_round_trip_all_widths():
         assert np.array_equal(unpack(packed), b)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_pack_matches_threshold_packing(n):
+    # Oracle: threshold at zero, then pack a uint8 copy.
+    rng = np.random.default_rng(n)
+    for bits in range(1, 131):
+        codes = random_codes(rng, bits, n)
+        old = np.packbits((codes.T > 0).astype(np.uint8), axis=1, bitorder="little")
+        for given in (codes, np.asfortranarray(codes), codes.astype(np.float32)):
+            packed = pack(given)
+            assert (packed.n, packed.bits) == (n, bits)
+            assert packed.payload == old.tobytes()
+
+
 def test_pack_rejects_non_binary():
     with pytest.raises(InvalidInput):
         pack(np.array([[0.5, 1.0]]))
+    near_one = np.nextafter(1.0, 2.0), np.nextafter(-1.0, 0.0)
+    for bad in (0.5, 0.0, -0.0, np.nan, np.inf, -np.inf, 2.0, -2.0, *near_one):
+        for at in ((0, 0), (4, 2), (8, 4)):
+            codes = random_codes(np.random.default_rng(0), 9, 5)
+            codes[at] = bad
+            with pytest.raises(InvalidInput, match=r"only \+1 and -1"):
+                pack(codes)
 
 
 def test_packed_codes_rejects_bad_payload_length():
