@@ -23,13 +23,11 @@ from .index import (
     unpack,
 )
 from .network import (
-    HeadSpec,
     Layer,
     NetworkParams,
     SgdConfig,
     backward,
     forward,
-    head_spec_for,
     init_head_layers,
     sgd_step,
     zero_velocity,
@@ -42,7 +40,6 @@ from .trainer import (
     TrainSchedule,
     TrainState,
     default_schedule,
-    init_network,
     quantization_gap,
     train,
     update_codes,
@@ -55,7 +52,6 @@ __all__ = [
     "DivergenceError",
     "EigenDecomposition",
     "FormatError",
-    "HeadSpec",
     "Hyperparams",
     "InvalidInput",
     "ItqResult",
@@ -74,10 +70,8 @@ __all__ = [
     "default_schedule",
     "forward",
     "hamming",
-    "head_spec_for",
     "init_binary_codes",
     "init_head_layers",
-    "init_network",
     "itq",
     "loss",
     "loss_grad",

@@ -53,8 +53,11 @@ class PackedCodes:
     _words: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 0 or self.bits < 1:
-            raise FormatError(f"invalid code counts (n={self.n}, bits={self.bits})")
+        try:
+            check_int(self.n, "code count", 0)
+            check_int(self.bits, "code length", 1)
+        except InvalidInput as exc:
+            raise FormatError(f"invalid code counts: {exc}") from None
         expect = self.n * self.code_bytes
         if len(self.payload) != expect:
             raise FormatError(
@@ -102,7 +105,8 @@ def unpack(packed: PackedCodes) -> np.ndarray:
 
 
 def hamming(a: bytes, b: bytes, bits: int) -> int:
-    """Number of differing bits between two packed codes of equal length."""
+    """Number of differing bits between two packed codes of equal length;
+    the pad bits of both must be zero."""
     check_int(bits, "code length", 1)
     expect = (bits + 7) // 8
     if len(a) != expect or len(b) != expect:
@@ -110,7 +114,15 @@ def hamming(a: bytes, b: bytes, bits: int) -> int:
             f"packed codes must each hold {expect} bytes for {bits} bits, "
             f"got {len(a)} and {len(b)}"
         )
+    _check_padding(a, bits, "code")
+    _check_padding(b, bits, "code")
     return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).bit_count()
+
+
+def _check_padding(code: bytes, bits: int, what: str) -> None:
+    """Reject a packed bits-bit code whose pad bits are not all zero."""
+    if bits % 8 and code[-1] >> (bits % 8):
+        raise InvalidInput(f"{what} padding bits past the code length must be zero")
 
 
 def _distances(db: PackedCodes, qwords: np.ndarray, rows=slice(None)) -> np.ndarray:
@@ -140,8 +152,7 @@ def search(db: PackedCodes, query: bytes, k: int) -> list[tuple[int, int]]:
         raise InvalidInput(
             f"query holds {len(query)} bytes, database codes hold {db.code_bytes}"
         )
-    if db.bits % 8 and query[-1] >> (db.bits % 8):
-        raise InvalidInput("query padding bits past the code length must be zero")
+    _check_padding(query, db.bits, "query")
     qwords = np.frombuffer(query, dtype=db._words.dtype)
     blocks = [_distances(db, qwords, slice(s, s + _SCAN_ROWS)) for s in range(0, db.n, _SCAN_ROWS)]
     dists = np.concatenate(blocks)

@@ -1,6 +1,8 @@
 """The trainable hashing model: a stack of affine layers with identity,
 sigmoid, or scaled-sigmoid activations, explicit backpropagation, and
-momentum SGD with weight decay.
+momentum SGD with weight decay.  `init_head_layers` builds the hashing
+head for a code length: two sigmoid layers, whose widths the code length
+fixes, and a scaled-sigmoid output layer of one unit per bit.
 
 Both nonlinear activations come from one tanh: with t = tanh(z / 2),
 sigmoid(z) = (1 + t) / 2 and the scaled sigmoid 2 * sigmoid(z) - 1 = t.
@@ -89,19 +91,6 @@ class NetworkParams:
 
 
 @dataclass(frozen=True)
-class HeadSpec:
-    code_length: int
-    hidden: tuple[int, int]
-
-    def __post_init__(self):
-        check_int(self.code_length, "code length", 1)
-        if not isinstance(self.hidden, tuple) or len(self.hidden) != 2:
-            raise InvalidInput(f"hidden widths must be a pair, got {self.hidden!r}")
-        for width in self.hidden:
-            check_int(width, "hidden width", 1)
-
-
-@dataclass(frozen=True)
 class SgdConfig:
     learning_rate: float = 1e-4
     weight_decay: float = 5e-4
@@ -124,25 +113,22 @@ class ForwardTape:
     out: list[np.ndarray] = field(default_factory=list)
 
 
-def head_spec_for(code_length: int) -> HeadSpec:
-    """Hidden sizes of the three-layer hashing head for a code length.
-
-    Standard lengths come from a fixed table; anything else gets a monotone
-    extension of the table's growth pattern.
-    """
-    check_int(code_length, "code length", 1)
-    if code_length in _HEAD_TABLE:
-        return HeadSpec(code_length, _HEAD_TABLE[code_length])
-    hidden = (max(90, 2 * code_length + 40), max(20, math.ceil(1.6 * code_length)))
-    return HeadSpec(code_length, hidden)
+def _head_widths(bits: int) -> tuple[int, int]:
+    """Hidden widths of the hashing head for a code length: standard
+    lengths come from a fixed table, anything else gets a monotone
+    extension of the table's growth pattern."""
+    if bits in _HEAD_TABLE:
+        return _HEAD_TABLE[bits]
+    return max(90, 2 * bits + 40), max(20, math.ceil(1.6 * bits))
 
 
-def init_head_layers(in_dim: int, spec: HeadSpec, rng: np.random.Generator) -> list[Layer]:
-    """Randomly initialized head: two sigmoid layers and a scaled-sigmoid
-    output layer, weights uniform in +-sqrt(6 / (fan_in + fan_out)), zero
-    biases."""
+def init_head_layers(in_dim: int, bits: int, rng: np.random.Generator) -> list[Layer]:
+    """Randomly initialized head for bits-bit codes: two sigmoid layers,
+    whose widths the code length fixes, and a scaled-sigmoid output layer,
+    weights uniform in +-sqrt(6 / (fan_in + fan_out)), zero biases."""
     check_int(in_dim, "input dim", 1)
-    dims = [in_dim, spec.hidden[0], spec.hidden[1], spec.code_length]
+    check_int(bits, "code length", 1)
+    dims = [in_dim, *_head_widths(bits), bits]
     acts = ["sigmoid", "sigmoid", "scaled_sigmoid"]
     layers = []
     for d_in, d_out, act in zip(dims, dims[1:], acts):

@@ -24,12 +24,11 @@ class PcaModel:
     """Top principal components of a feature set.
 
     projection rows are orthonormal eigenvectors of the sample covariance
-    (divisor n - 1), paired with descending eigenvalues.
+    (divisor n - 1), in order of descending variance.
     """
 
-    projection: np.ndarray   # p x d
-    mean: np.ndarray         # d
-    eigenvalues: np.ndarray  # p, descending, non-negative
+    projection: np.ndarray  # p x d
+    mean: np.ndarray        # d
 
     @property
     def bias(self) -> np.ndarray:
@@ -81,11 +80,7 @@ def _pretrain(features, p: int, bits: int) -> tuple[PcaModel, np.ndarray]:
     cov = (cov + cov.T) / 2.0  # clear float asymmetry before the eigensolve
     dec = sym_eig(cov)
     top = dec.vectors[:, : max(p, bits)].T.copy()
-    pca = PcaModel(
-        projection=top[:p].copy(),
-        mean=mean,
-        eigenvalues=np.maximum(dec.values[:p], 0.0),
-    )
+    pca = PcaModel(projection=top[:p].copy(), mean=mean)
     del cov, dec  # the projection then peaks no higher than the fit
     return pca, centered @ top[:bits].T
 

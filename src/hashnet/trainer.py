@@ -30,13 +30,12 @@ from .network import (
     SgdConfig,
     backward,
     forward,
-    head_spec_for,
     init_head_layers,
     sgd_step,
     zero_velocity,
 )
 from .numerics import as_float, check_int
-from .pretrain import ITQ_ITERS, PcaModel, _check_code_shape, _pretrain, itq, pca_fit
+from .pretrain import ITQ_ITERS, PcaModel, _check_code_shape, _pretrain, itq
 
 # Abort when a batch loss exceeds this multiple of the first batch loss.
 DIVERGENCE_FACTOR = 1e6
@@ -128,28 +127,13 @@ def default_schedule(n: int, batch: int, seed: int = 0) -> TrainSchedule:
     return TrainSchedule(OUTER_ROUNDS, math.ceil(4 * n / batch), batch, seed)
 
 
-def init_network(
-    features, bits: int, dr_dim: int, rng: np.random.Generator
-) -> NetworkParams:
-    """Fresh model: the network `train` starts from (`_network_on`), on a
-    PCA of the features to min(dr_dim, feature dimension) components."""
-    features = as_float(features)
-    p = _reduction_width(bits, dr_dim, features.shape[1])
-    return _network_on(pca_fit(features, p), bits, rng)
-
-
-def _reduction_width(bits: int, dr_dim: int, dim: int) -> int:
-    check_int(bits, "code length", 1)
-    check_int(dr_dim, "reduction dim", 1)
-    return min(dr_dim, dim)
-
-
 def _network_on(pca: PcaModel, bits: int, rng: np.random.Generator) -> NetworkParams:
-    """The PCA reduction layer a and a random head.  A full-rank a is merged
-    into the first head layer b as (W_b W_a, W_b b_a + b_b); a real
+    """The network `train` starts from: the PCA reduction layer a and a
+    random head for bits-bit codes (`init_head_layers`).  A full-rank a is
+    merged into the first head layer b as (W_b W_a, W_b b_a + b_b); a real
     reduction stays a layer, so it still bounds the rank after it."""
     a = pca.dr_layer()
-    b, *rest = init_head_layers(a.out_dim, head_spec_for(bits), rng)
+    b, *rest = init_head_layers(a.out_dim, bits, rng)
     if a.out_dim < a.in_dim:
         return NetworkParams([a, b] + rest)
     ab = Layer(b.weights @ a.weights, b.weights @ a.bias + b.bias, b.activation)
@@ -220,7 +204,8 @@ def train(
 ) -> TrainState:
     """Run the full alternating optimization and return the final state.
 
-    Flow: build the network (`_network_on`), start the binary codes from
+    Flow: build the network (`_network_on`) on a PCA of the features to
+    min(dr_dim, feature dimension) components, start the binary codes from
     ITQ_ITERS iterations of ITQ, then for each outer round run `sched.inner`
     minibatch SGD steps against the frozen codes and re-binarize the codes
     from the updated network.  One PCA serves both the reduction layer and
@@ -236,7 +221,7 @@ def train(
     float64, and the codes are float64 +-1: the codes `update_codes` gives
     the returned parameters.
     """
-    p = _reduction_width(bits, dr_dim, data.dim)
+    check_int(dr_dim, "reduction dim", 1)
     labels = _check_labels(data.labels)
     if np.unique(labels).size < 2:
         raise InvalidInput("training data must contain at least 2 classes")
@@ -245,7 +230,7 @@ def train(
     _check_code_shape(data.features, bits)
 
     rng = np.random.default_rng(sched.seed)
-    pca, projected = _pretrain(data.features, p, bits)
+    pca, projected = _pretrain(data.features, min(dr_dim, data.dim), bits)
     params = _network_on(pca, bits, rng)
     itq_seed = int(rng.integers(0, 2**63))
     codes = itq(projected, iters=ITQ_ITERS, seed=itq_seed).codes

@@ -118,6 +118,27 @@ def test_packed_codes_rejects_bad_payload_length():
         PackedCodes(n=2, bits=8, payload=b"\x00")
 
 
+@pytest.mark.parametrize(
+    "n, bits",
+    [(1, 8.0), (1.0, 8), (True, 8), (1, True), (1, np.float64(8)), (1, "8"), (None, 8)],
+    ids=["float bits", "float n", "bool n", "bool bits", "numpy float bits", "str bits", "None n"],
+)
+def test_packed_codes_rejects_counts_that_are_not_integers(n, bits):
+    with pytest.raises(FormatError, match="invalid code counts"):
+        PackedCodes(n=n, bits=bits, payload=b"\x00")
+
+
+def test_packed_codes_counts_are_non_negative_integers(tmp_path):
+    assert PackedCodes(n=np.int64(1), bits=np.uint32(8), payload=b"\x00").n == 1
+    for n, bits in ((-1, 8), (0, 0), (2, 0)):
+        with pytest.raises(FormatError, match="invalid code counts"):
+            PackedCodes(n=n, bits=bits, payload=b"")
+    path = tmp_path / "codes.hsb"
+    path.write_bytes(b"HSB1" + struct.pack("<II", 2, 0))
+    with pytest.raises(FormatError, match="codes.hsb: invalid code counts"):
+        read_codes(path)
+
+
 def test_packed_codes_rejects_nonzero_padding(tmp_path):
     with pytest.raises(FormatError):
         PackedCodes(n=1, bits=4, payload=bytes([0xF0]))
@@ -151,6 +172,20 @@ def test_hamming_identical_and_complement():
     c = pack(-b).payload
     assert hamming(a, a, 48) == 0
     assert hamming(a, c, 48) == 48
+
+
+def test_hamming_rejects_nonzero_padding():
+    assert hamming(b"\x0f", b"\x00", 4) == 4
+    with pytest.raises(InvalidInput, match="padding bits"):
+        hamming(b"\xff", b"\x00", 4)
+    # Every pad bit of every partial last byte, in either code.
+    for bits in [8 * whole + rest for whole in (0, 1, 2) for rest in range(1, 8)]:
+        zero = bytes((bits + 7) // 8)
+        for pad in range(bits % 8, 8):
+            padded = zero[:-1] + bytes([1 << pad])
+            for a, b in ((padded, zero), (zero, padded), (padded, padded)):
+                with pytest.raises(InvalidInput, match="padding bits"):
+                    hamming(a, b, bits)
 
 
 def test_hamming_rejects_length_mismatch():

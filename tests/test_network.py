@@ -4,13 +4,12 @@ import pytest
 from hashnet.errors import InvalidInput
 from hashnet.hashloss import Hyperparams, loss, loss_grad, similarity_matrix
 from hashnet.network import (
-    HeadSpec,
     Layer,
     NetworkParams,
     SgdConfig,
+    _head_widths,
     backward,
     forward,
-    head_spec_for,
     init_head_layers,
     sgd_step,
     zero_velocity,
@@ -62,35 +61,42 @@ def fd_param_grads(params, X, B, S, hp, step=1e-5):
     return out
 
 
-def test_head_spec_table_rows():
-    assert head_spec_for(8) == HeadSpec(8, (90, 20))
-    assert head_spec_for(16) == HeadSpec(16, (90, 30))
-    assert head_spec_for(24) == HeadSpec(24, (100, 40))
-    assert head_spec_for(32) == HeadSpec(32, (120, 50))
-    assert head_spec_for(48) == HeadSpec(48, (140, 80))
+def test_head_width_table_rows():
+    assert _head_widths(8) == (90, 20)
+    assert _head_widths(16) == (90, 30)
+    assert _head_widths(24) == (100, 40)
+    assert _head_widths(32) == (120, 50)
+    assert _head_widths(48) == (140, 80)
 
 
-def test_head_spec_interpolates_untabulated_lengths():
-    spec = head_spec_for(12)
-    assert spec.code_length == 12
-    assert spec.hidden == (90, 20)
-    spec = head_spec_for(64)
-    assert spec.hidden == (168, 103)
+def test_head_widths_extend_to_untabulated_lengths():
+    assert _head_widths(12) == (90, 20)
+    assert _head_widths(64) == (168, 103)
     # The extension itself grows monotonically with the code length.
-    untabulated = [head_spec_for(L).hidden for L in range(49, 128)]
+    untabulated = [_head_widths(L) for L in range(49, 128)]
     assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(untabulated, untabulated[1:]))
-    assert all(h1 > 0 and h2 > 0 for h1, h2 in (head_spec_for(L).hidden for L in range(1, 49)))
+    assert all(h1 > 0 and h2 > 0 for h1, h2 in (_head_widths(L) for L in range(1, 49)))
 
 
-def test_head_spec_rejects_zero():
+@pytest.mark.parametrize("bits", [1, 8, 12, 16, 24, 32, 48, 64])
+def test_init_head_layers_takes_its_widths_from_the_code_length(bits):
+    h1, h2 = _head_widths(bits)
+    assert all(type(h) is int and h >= 1 for h in (h1, h2))
+    layers = init_head_layers(20, bits, np.random.default_rng(bits))
+    assert [l.weights.shape for l in NetworkParams(layers).layers] == [
+        (h1, 20), (h2, h1), (bits, h2)
+    ]
+
+
+def test_init_head_layers_rejects_zero_bits():
     with pytest.raises(InvalidInput):
-        head_spec_for(0)
+        init_head_layers(8, 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", ["16", None, [8]])
-def test_head_spec_rejects_non_numbers(bad):
+def test_init_head_layers_rejects_non_number_bits(bad):
     with pytest.raises(InvalidInput, match="code length"):
-        head_spec_for(bad)
+        init_head_layers(8, bad, np.random.default_rng(0))
 
 
 def test_forward_identity_network():
@@ -271,9 +277,8 @@ def test_sgd_lr_zero_is_identity():
 
 
 def test_init_head_layers_shapes_and_seeding():
-    spec = head_spec_for(16)
-    l1 = init_head_layers(800, spec, np.random.default_rng(0))
-    l2 = init_head_layers(800, spec, np.random.default_rng(0))
+    l1 = init_head_layers(800, 16, np.random.default_rng(0))
+    l2 = init_head_layers(800, 16, np.random.default_rng(0))
     assert [l.weights.shape for l in l1] == [(90, 800), (30, 90), (16, 30)]
     assert [l.activation for l in l1] == ["sigmoid", "sigmoid", "scaled_sigmoid"]
     for a, b in zip(l1, l2):

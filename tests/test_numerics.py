@@ -4,10 +4,10 @@ import pytest
 from hashnet.errors import InvalidInput
 from hashnet.hashloss import Hyperparams
 from hashnet.index import hamming, pack, search
-from hashnet.network import HeadSpec, SgdConfig, head_spec_for, init_head_layers
+from hashnet.network import SgdConfig, init_head_layers
 from hashnet.numerics import procrustes_rotation, sym_eig
 from hashnet.pretrain import init_binary_codes, pca_fit
-from hashnet.trainer import LabeledFeatures, TrainSchedule, default_schedule, init_network, train
+from hashnet.trainer import LabeledFeatures, TrainSchedule, default_schedule, train
 
 
 def random_orthogonal(rng, n):
@@ -130,30 +130,17 @@ def _train(bits=4, dr_dim=8):
 INTEGER_ARGUMENTS = {
     "train bits": (lambda v: _train(bits=v), 1),
     "train dr_dim": (lambda v: _train(dr_dim=v), 1),
-    "init_network bits": (lambda v: init_network(_X, v, 8, np.random.default_rng(0)), 1),
-    "init_network dr_dim": (lambda v: init_network(_X, 4, v, np.random.default_rng(0)), 1),
     "init_binary_codes bits": (lambda v: init_binary_codes(_X, v, 0), 1),
     "init_binary_codes seed": (lambda v: init_binary_codes(_X, 4, v), 0),
     "init_binary_codes iters": (lambda v: init_binary_codes(_X, 4, 0, iters=v), 1),
     "pca_fit p": (lambda v: pca_fit(_X, v), 1),
-    "head_spec_for code_length": (head_spec_for, 1),
-    "HeadSpec code_length": (lambda v: HeadSpec(v, (90, 20)), 1),
-    "HeadSpec first hidden width": (lambda v: HeadSpec(8, (v, 20)), 1),
-    "HeadSpec second hidden width": (lambda v: HeadSpec(8, (90, v)), 1),
-    "init_head_layers in_dim": (
-        lambda v: init_head_layers(v, head_spec_for(4), np.random.default_rng(0)), 1
-    ),
+    "init_head_layers in_dim": (lambda v: init_head_layers(v, 4, np.random.default_rng(0)), 1),
+    "init_head_layers bits": (lambda v: init_head_layers(8, v, np.random.default_rng(0)), 1),
     "default_schedule n": (lambda v: default_schedule(v, 1), 1),
     "default_schedule batch": (lambda v: default_schedule(40, v), 1),
     "hamming bits": (lambda v: hamming(b"\0", b"\0", v), 1),
     "search k": (lambda v: search(_DB, b"\0", v), 1),
 }
-
-
-@pytest.mark.parametrize("hidden", [(90,), (90, 20, 8), None, 90])
-def test_head_spec_rejects_hidden_widths_that_are_not_a_pair(hidden):
-    with pytest.raises(InvalidInput, match="pair"):
-        HeadSpec(8, hidden)
 
 
 @pytest.mark.parametrize("call", INTEGER_ARGUMENTS)

@@ -9,8 +9,8 @@ from hashnet.network import (
     Layer,
     NetworkParams,
     SgdConfig,
+    _head_widths,
     forward,
-    head_spec_for,
     init_head_layers,
 )
 from hashnet.pretrain import init_binary_codes, pca_fit
@@ -21,7 +21,6 @@ from hashnet.trainer import (
     _forward_blocks,
     _network_on,
     default_schedule,
-    init_network,
     quantization_gap,
     train,
     update_codes,
@@ -41,6 +40,12 @@ def two_cluster_data(seed=0, n=500, d=16):
     )
     labels = np.array([0] * half + [1] * (n - half))
     return LabeledFeatures(feats, labels)
+
+
+def start_network(features, seed):
+    """The 8-bit network `train` starts from on 16-d features, at any
+    dr_dim of 16 or more."""
+    return _network_on(pca_fit(features, 16), 8, np.random.default_rng(seed))
 
 
 def test_default_schedule_large_corpus():
@@ -144,7 +149,8 @@ def test_train_frozen_network():
     data = two_cluster_data(n=64)
     sched = TrainSchedule(outer=1, inner=1, batch=32, seed=9)
     state = train(data, 8, Hyperparams(), sched, SgdConfig(learning_rate=0.0))
-    expected = init_network(data.features, 8, 800, np.random.default_rng(9))
+    # The default dr_dim, 800, keeps all 16 feature dimensions.
+    expected = _network_on(pca_fit(data.features, 16), 8, np.random.default_rng(9))
     for got, want in zip(state.params.layers, expected.layers):
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.bias, want.bias)
@@ -226,7 +232,7 @@ def test_update_codes_zero_network_all_positive():
 
 def test_update_codes_blocking_invisible():
     data = two_cluster_data(n=50)
-    params = init_network(data.features, 8, 16, np.random.default_rng(4))
+    params = start_network(data.features, 4)
     whole = update_codes(params, data.features, 50)
     blocked = update_codes(params, data.features, 7)
     assert np.array_equal(whole, blocked)
@@ -234,7 +240,7 @@ def test_update_codes_blocking_invisible():
 
 def test_update_codes_matches_per_sample_oracle():
     data = two_cluster_data(n=60)
-    params = init_network(data.features, 8, 16, np.random.default_rng(5))
+    params = start_network(data.features, 5)
     codes = update_codes(params, data.features, 16)
     rng = np.random.default_rng(6)
     for i in rng.integers(0, 60, size=50):
@@ -275,14 +281,14 @@ def test_train_refreshes_codes_in_encode_blocks_at_any_batch(monkeypatch):
 
 def test_update_codes_rejects_dim_mismatch():
     data = two_cluster_data(n=50)
-    params = init_network(data.features, 8, 16, np.random.default_rng(7))
+    params = start_network(data.features, 7)
     with pytest.raises(InvalidInput):
         update_codes(params, np.zeros((5, 3)), 4)
 
 
 def test_quantization_gap_rejects_zero_block_size():
     data = two_cluster_data(n=50)
-    params = init_network(data.features, 8, 16, np.random.default_rng(7))
+    params = start_network(data.features, 7)
     codes = update_codes(params, data.features, 16)
     for bad in (0, 1.5, True, "16"):
         with pytest.raises(InvalidInput):
@@ -294,7 +300,7 @@ def test_quantization_gap_rejects_zero_block_size():
 
 
 def test_quantization_gap_rejects_zero_samples():
-    params = init_network(two_cluster_data(n=50).features, 8, 16, np.random.default_rng(7))
+    params = start_network(two_cluster_data(n=50).features, 7)
     with pytest.raises(InvalidInput):
         quantization_gap(params, np.zeros((0, 16)), np.zeros((8, 0)))
 
@@ -318,7 +324,7 @@ def test_folded_initial_network_matches_unfolded_pca_layer_and_head():
     data = two_cluster_data(n=500, d=64)
     pca = pca_fit(data.features, 64)
     folded = _network_on(pca, 32, np.random.default_rng(3))
-    head = init_head_layers(64, head_spec_for(32), np.random.default_rng(3))
+    head = init_head_layers(64, 32, np.random.default_rng(3))
     unfolded = NetworkParams([pca.dr_layer()] + head)
     assert [l.activation for l in folded.layers] == ["sigmoid", "sigmoid", "scaled_sigmoid"]
     for got_layer, want_layer in zip(folded.layers[1:], head[1:]):
@@ -334,7 +340,7 @@ def test_unfolded_identity_layer_update_codes_matches_per_sample_oracle():
     # at init holds: it is encoded as stored, unfolded.
     data = two_cluster_data(n=400)
     pca = pca_fit(data.features, 16)
-    head = init_head_layers(16, head_spec_for(8), np.random.default_rng(5))
+    head = init_head_layers(16, 8, np.random.default_rng(5))
     params = NetworkParams([pca.dr_layer()] + head)
     codes = update_codes(params, data.features, 16)
     for i in range(400):
@@ -346,7 +352,7 @@ def test_unfolded_identity_layer_update_codes_matches_per_sample_oracle():
 
 def test_encoding_leaves_params_bitwise_unchanged():
     data = two_cluster_data(n=400)
-    params = init_network(data.features, 8, 16, np.random.default_rng(5))
+    params = start_network(data.features, 5)
     before = [(l.weights.copy(), l.bias.copy(), l.activation) for l in params.layers]
     layers = list(params.layers)
     codes = update_codes(params, data.features, 64)
@@ -359,7 +365,7 @@ def test_encoding_leaves_params_bitwise_unchanged():
 
 def test_codes_do_not_depend_on_the_number_of_samples():
     data = two_cluster_data(n=400)
-    params = init_network(data.features, 8, 16, np.random.default_rng(5))
+    params = start_network(data.features, 5)
     whole = update_codes(params, data.features, 256)
     for k in (1, 7, 50):
         assert np.array_equal(update_codes(params, data.features[:k], 256), whole[:, :k])
@@ -373,7 +379,7 @@ def test_narrowing_reduction_layer_is_not_folded(d, dr_dim, bits):
     data = two_cluster_data(n=200, d=d)
     pca = pca_fit(data.features, dr_dim)
     params = _network_on(pca, bits, np.random.default_rng(1))
-    head = init_head_layers(dr_dim, head_spec_for(bits), np.random.default_rng(1))
+    head = init_head_layers(dr_dim, bits, np.random.default_rng(1))
     assert [l.activation for l in params.layers] == [
         "identity", "sigmoid", "sigmoid", "scaled_sigmoid"
     ]
@@ -382,7 +388,7 @@ def test_narrowing_reduction_layer_is_not_folded(d, dr_dim, bits):
         assert got.weights.tobytes() == want.weights.tobytes()
     sched = TrainSchedule(outer=1, inner=1, batch=32, seed=2)
     state = train(data, bits, Hyperparams(), sched, SgdConfig(), dr_dim=dr_dim)
-    h1, h2 = head_spec_for(bits).hidden
+    h1, h2 = _head_widths(bits)
     assert [l.weights.shape for l in state.params.layers] == [
         (dr_dim, d), (h1, dr_dim), (h2, h1), (bits, h2)
     ]
@@ -466,11 +472,7 @@ def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
 
 def test_train_fits_one_pca_for_the_network_and_itq(monkeypatch):
     fits, starts = [], []
-    real_fit, real_pretrain, real_itq = trainer.pca_fit, trainer._pretrain, trainer.itq
-
-    def counting_fit(features, p):
-        fits.append(p)
-        return real_fit(features, p)
+    real_pretrain, real_itq = trainer._pretrain, trainer.itq
 
     def counting_pretrain(features, p, bits):
         fits.append(p)
@@ -480,7 +482,6 @@ def test_train_fits_one_pca_for_the_network_and_itq(monkeypatch):
         starts.append((seed, real_itq(projected, iters=iters, seed=seed)))
         return starts[-1][1]
 
-    monkeypatch.setattr(trainer, "pca_fit", counting_fit)
     monkeypatch.setattr(trainer, "_pretrain", counting_pretrain)
     monkeypatch.setattr(trainer, "itq", recording_itq)
     data = two_cluster_data(n=64)
@@ -489,9 +490,9 @@ def test_train_fits_one_pca_for_the_network_and_itq(monkeypatch):
         sched = TrainSchedule(outer=1, inner=1, batch=32, seed=9)
         state = train(data, 8, Hyperparams(), sched, SgdConfig(learning_rate=0.0), dr_dim=dr_dim)
         assert fits == [fit]
-        reduction = real_fit(data.features, min(dr_dim, 16)).dr_layer()
+        reduction = pca_fit(data.features, min(dr_dim, 16)).dr_layer()
         if dr_dim == 800:  # a full-rank rotation, folded into the first head layer
-            first = init_head_layers(16, head_spec_for(8), np.random.default_rng(9))[0]
+            first = init_head_layers(16, 8, np.random.default_rng(9))[0]
             reduction = Layer(
                 first.weights @ reduction.weights,
                 first.weights @ reduction.bias + first.bias,
