@@ -16,7 +16,6 @@ from .hashloss import Hyperparams, loss, loss_grad, loss_terms, similarity_matri
 from .index import (
     PackedCodes,
     binarize,
-    hamming,
     mean_average_precision,
     pack,
     search,
@@ -69,7 +68,6 @@ __all__ = [
     "binarize",
     "default_schedule",
     "forward",
-    "hamming",
     "init_binary_codes",
     "init_head_layers",
     "itq",

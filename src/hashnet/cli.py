@@ -37,6 +37,7 @@ from .index import (
     search,
 )
 from .network import SgdConfig
+from .numerics import check_int
 from .pretrain import ITQ_ITERS, init_binary_codes
 from .trainer import DR_DIM, OUTER_ROUNDS, LabeledFeatures, default_schedule, train, update_codes
 
@@ -104,6 +105,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_search(args) -> int:
+    check_int(args.k, "k", 1)
     db = read_codes(args.db)
     queries = read_codes(args.queries)
     if db.bits != queries.bits:

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import FormatError, InvalidInput
 from .index import PackedCodes
 from .network import Layer, NetworkParams
-from .numerics import as_float
+from .numerics import as_float, check_int
 
 FEATURES_MAGIC = b"HSF1"
 LABELS_MAGIC = b"HSL1"
@@ -236,7 +236,8 @@ def save_model(path, params: NetworkParams, metadata: dict):
 
 
 def load_model(path) -> tuple[NetworkParams, dict]:
-    """Read a model document back into NetworkParams plus its metadata."""
+    """Read a model document back into NetworkParams plus its metadata;
+    `bits` and the layer dims must be JSON integers, not bools, of >= 1."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -255,16 +256,17 @@ def load_model(path) -> tuple[NetworkParams, dict]:
     for i, entry in enumerate(raw_layers):
         try:
             activation = entry["activation"]
-            in_dim, out_dim = int(entry["in_dim"]), int(entry["out_dim"])
+            in_dim, out_dim = entry["in_dim"], entry["out_dim"]
             w_text, b_text = entry["weights"], entry["bias"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            check_int(in_dim, "in_dim", 1)
+            check_int(out_dim, "out_dim", 1)
+        except (KeyError, TypeError, InvalidInput) as exc:
             raise FormatError(f"{path}: malformed layer {i}: {exc}") from None
-        if in_dim < 1 or out_dim < 1:
-            raise FormatError(f"{path}: layer {i} has non-positive dimensions")
         weights = _decode_array(w_text, (out_dim, in_dim), path, f"layer {i} weights")
         bias = _decode_array(b_text, (out_dim,), path, f"layer {i} bias")
         layers.append((weights, bias, activation))
     try:
+        check_int(doc.get("bits"), "declared bits", 1)
         params = NetworkParams([Layer(*layer) for layer in layers])
     except InvalidInput as exc:
         raise FormatError(f"{path}: {exc}") from None

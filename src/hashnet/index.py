@@ -104,21 +104,6 @@ def unpack(packed: PackedCodes) -> np.ndarray:
     return np.where(as_bits.T == 1, 1.0, -1.0)
 
 
-def hamming(a: bytes, b: bytes, bits: int) -> int:
-    """Number of differing bits between two packed codes of equal length;
-    the pad bits of both must be zero."""
-    check_int(bits, "code length", 1)
-    expect = (bits + 7) // 8
-    if len(a) != expect or len(b) != expect:
-        raise InvalidInput(
-            f"packed codes must each hold {expect} bytes for {bits} bits, "
-            f"got {len(a)} and {len(b)}"
-        )
-    _check_padding(a, bits, "code")
-    _check_padding(b, bits, "code")
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).bit_count()
-
-
 def _check_padding(code: bytes, bits: int, what: str) -> None:
     """Reject a packed bits-bit code whose pad bits are not all zero."""
     if bits % 8 and code[-1] >> (bits % 8):

@@ -12,8 +12,9 @@ runs forward, loss and backward on a float32 copy of the network and
 applies the float32 gradients to the float64 weights in float64.  The
 returned parameters, and so the model file, stay float64.  A full-rank
 PCA layer is folded into the head once, at init, so training, each code
-refresh, `encode` and `quantization_gap` run the stored layers; encoding
-runs a float32 copy, so `encode` of the training features gives `train`'s codes.
+refresh, `encode` and `quantization_gap` run the stored layers, in one
+blocked pass over a float32 copy: `encode` of the training features gives
+`train`'s codes, and the gap measures the outputs those codes are signs of.
 """
 
 import math
@@ -44,6 +45,10 @@ DIVERGENCE_FACTOR = 1e6
 # also the defaults of `hashnet train --outer` and `--dr-dim`.
 OUTER_ROUNDS = 5
 DR_DIM = 800
+
+# Samples per block of the encode pass (`_forward_blocks`): the default of
+# `update_codes` and the block size of `quantization_gap`.
+ENCODE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -152,21 +157,23 @@ def _float32_copy(params: NetworkParams) -> NetworkParams:
 
 def _forward_blocks(params: NetworkParams, features, batch: int):
     """Check (n x d) features and a block size, then return an iterator of
-    (start, outputs) pairs: the network outputs (bits x block) for the
-    samples from start on, in column blocks of at most `batch`."""
+    (start, outputs) pairs: the outputs (bits x block) of a float32 copy of
+    the network, made once per call, for the samples from start on, in
+    column blocks of at most `batch`."""
     features = as_float(features)
     if features.ndim != 2 or features.shape[1] != params.in_dim:
         raise InvalidInput(
             f"features shape {features.shape} does not match network input dim {params.in_dim}"
         )
     check_int(batch, "block size", 1)
+    compute = _float32_copy(params)
     return (
-        (start, forward(params, features[start : start + batch].T)[0])
+        (start, forward(compute, features[start : start + batch].T)[0])
         for start in range(0, features.shape[0], batch)
     )
 
 
-def update_codes(params: NetworkParams, features, batch: int = 256) -> np.ndarray:
+def update_codes(params: NetworkParams, features, batch: int = ENCODE_BLOCK) -> np.ndarray:
     """Sign of the network output over all samples, computed in column
     blocks of at most `batch`; `encode` and `train`'s code refresh use the
     default.  The codes are those of a float32 copy of the network,
@@ -175,7 +182,7 @@ def update_codes(params: NetworkParams, features, batch: int = 256) -> np.ndarra
     `forward`, can change an output by float32 rounding (a matrix product
     of another shape may sum in another order), so a code bit only where
     the output is within float32 rounding of 0.  `params` is not changed."""
-    blocks = _forward_blocks(_float32_copy(params), features, batch)
+    blocks = _forward_blocks(params, features, batch)
     out = np.empty((params.out_dim, len(features)))
     for start, block in blocks:
         out[:, start : start + batch] = binarize(block)
@@ -271,10 +278,12 @@ def train(
     return TrainState(params=params, codes=codes, history=history)
 
 
-def quantization_gap(params: NetworkParams, features, codes, batch: int = 256) -> float:
+def quantization_gap(params: NetworkParams, features, codes) -> float:
     """Mean squared distance between network outputs and their binary
-    codes, |F - B|^2 / (bits * n)."""
-    blocks = _forward_blocks(params, features, batch)
+    codes, |F - B|^2 / (bits * n), summed in float64.  The outputs are
+    those `update_codes` signs: a float32 copy of the network, in blocks
+    of ENCODE_BLOCK samples."""
+    blocks = _forward_blocks(params, features, ENCODE_BLOCK)
     codes = np.asarray(codes, dtype=np.float64)
     n = len(features)
     bits = params.out_dim
@@ -284,6 +293,6 @@ def quantization_gap(params: NetworkParams, features, codes, batch: int = 256) -
         raise InvalidInput(f"codes shape {codes.shape} does not match ({bits}, {n})")
     total = 0.0
     for start, block in blocks:
-        resid = block - codes[:, start : start + batch]
+        resid = block - codes[:, start : start + ENCODE_BLOCK]
         total += float(np.sum(resid * resid))
     return total / (bits * n)

@@ -243,6 +243,17 @@ def test_search_rejects_mixed_code_lengths(tmp_path, capsys):
     assert main(["search", str(a), str(b), "-k", "1"]) == 2
 
 
+@pytest.mark.parametrize("queries", [0, 3])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_search_rejects_k_below_one_whatever_the_query_count(tmp_path, capsys, queries, k):
+    db, q, out = tmp_path / "db.hsb", tmp_path / "q.hsb", tmp_path / "results.txt"
+    write_codes(db, pack(distinct_codes(8, 4)))
+    write_codes(q, pack(distinct_codes(8, 4)[:, :queries]))
+    assert main(["search", str(db), str(q), "-k", k, "-o", str(out)]) == 2
+    assert "k must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_search_distances_match_recomputation(tmp_path):
     rng = np.random.default_rng(5)
     dbc = np.where(rng.standard_normal((16, 40)) >= 0, 1.0, -1.0)

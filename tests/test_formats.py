@@ -222,6 +222,30 @@ def test_model_rejects_what_used_to_raise_stray_exceptions(tmp_path, case):
         load_model(path)
 
 
+# A layer dimension or the declared code length that is not a JSON integer
+# (a float, even a whole one, a string or a bool), or is below 1.
+@pytest.mark.parametrize(
+    "field, value",
+    [("in_dim", 3.7), ("in_dim", 3.0), ("in_dim", "3"), ("in_dim", True), ("in_dim", None),
+     ("in_dim", 0), ("out_dim", 2.9), ("out_dim", "5"), ("out_dim", True), ("out_dim", -5),
+     ("bits", 2.0), ("bits", True), ("bits", "2"), ("bits", None), ("bits", 0)],
+)
+def test_model_dims_and_bits_must_be_json_integers(tmp_path, field, value):
+    path = tmp_path / "model.json"
+    save_model(path, model_fixture(), {})
+    doc = json.loads(path.read_text())
+    layer = 1 if field == "out_dim" else 0
+    if field == "bits":
+        doc["bits"] = value
+        where = "model.json: declared bits"
+    else:
+        doc["layers"][layer][field] = value
+        where = f"model.json: malformed layer {layer}: {field}"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=where):
+        load_model(path)
+
+
 def test_features_io_holds_one_payload_copy(tmp_path):
     n, d = 50_000, 16
     path = tmp_path / "x.hsf"

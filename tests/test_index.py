@@ -10,7 +10,6 @@ from hashnet.formats import read_codes, write_codes
 from hashnet.index import (
     PackedCodes,
     binarize,
-    hamming,
     mean_average_precision,
     pack,
     search,
@@ -160,57 +159,6 @@ def test_packed_codes_rejects_nonzero_padding(tmp_path):
                 read_codes(path)
 
 
-def test_hamming_known_case():
-    # 0b1011 vs 0b0010: XOR = 0b1001 -> 2 differing bits.
-    assert hamming(bytes([0b1011]), bytes([0b0010]), 4) == 2
-
-
-def test_hamming_identical_and_complement():
-    rng = np.random.default_rng(2)
-    b = random_codes(rng, 48, 1)
-    a = pack(b).payload
-    c = pack(-b).payload
-    assert hamming(a, a, 48) == 0
-    assert hamming(a, c, 48) == 48
-
-
-def test_hamming_rejects_nonzero_padding():
-    assert hamming(b"\x0f", b"\x00", 4) == 4
-    with pytest.raises(InvalidInput, match="padding bits"):
-        hamming(b"\xff", b"\x00", 4)
-    # Every pad bit of every partial last byte, in either code.
-    for bits in [8 * whole + rest for whole in (0, 1, 2) for rest in range(1, 8)]:
-        zero = bytes((bits + 7) // 8)
-        for pad in range(bits % 8, 8):
-            padded = zero[:-1] + bytes([1 << pad])
-            for a, b in ((padded, zero), (zero, padded), (padded, padded)):
-                with pytest.raises(InvalidInput, match="padding bits"):
-                    hamming(a, b, bits)
-
-
-def test_hamming_rejects_length_mismatch():
-    with pytest.raises(InvalidInput):
-        hamming(b"\x00", b"\x00\x00", 8)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_hamming_matches_bit_loop_and_is_a_metric(seed):
-    rng = np.random.default_rng(seed)
-    bits = int(rng.integers(1, 70))
-    b = random_codes(rng, bits, 3)
-    packed = pack(b)
-    cb = (bits + 7) // 8
-    codes = [bytes(packed.payload[i * cb : (i + 1) * cb]) for i in range(3)]
-    d01 = hamming(codes[0], codes[1], bits)
-    d02 = hamming(codes[0], codes[2], bits)
-    d12 = hamming(codes[1], codes[2], bits)
-    assert d01 == hamming_bit_loop(b[:, 0], b[:, 1])
-    assert d01 == hamming(codes[1], codes[0], bits)
-    assert hamming(codes[0], codes[0], bits) == 0
-    assert d02 <= d01 + d12
-    assert 0 <= d01 <= bits
-
-
 def test_search_self_match():
     rng = np.random.default_rng(3)
     b = random_codes(rng, 16, 20)
@@ -249,6 +197,17 @@ def test_search_rejects_bad_k_and_empty_db():
     empty = PackedCodes(n=0, bits=8, payload=b"")
     with pytest.raises(InvalidInput):
         search(empty, b"\x00", 1)
+
+
+def test_search_rejects_every_set_query_pad_bit():
+    # Every pad bit of every partial last byte, for 1 to 23 bits.
+    for bits in [8 * whole + rest for whole in (0, 1, 2) for rest in range(1, 8)]:
+        zero = bytes((bits + 7) // 8)
+        db = PackedCodes(n=1, bits=bits, payload=zero)
+        assert search(db, zero, 1) == [(0, 0)]
+        for pad in range(bits % 8, 8):
+            with pytest.raises(InvalidInput, match="query padding bits"):
+                search(db, zero[:-1] + bytes([1 << pad]), 1)
 
 
 def test_search_matches_naive_scan():

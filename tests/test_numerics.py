@@ -3,7 +3,7 @@ import pytest
 
 from hashnet.errors import InvalidInput
 from hashnet.hashloss import Hyperparams
-from hashnet.index import hamming, pack, search
+from hashnet.index import pack, search
 from hashnet.network import SgdConfig, init_head_layers
 from hashnet.numerics import procrustes_rotation, sym_eig
 from hashnet.pretrain import init_binary_codes, pca_fit
@@ -138,7 +138,6 @@ INTEGER_ARGUMENTS = {
     "init_head_layers bits": (lambda v: init_head_layers(8, v, np.random.default_rng(0)), 1),
     "default_schedule n": (lambda v: default_schedule(v, 1), 1),
     "default_schedule batch": (lambda v: default_schedule(40, v), 1),
-    "hamming bits": (lambda v: hamming(b"\0", b"\0", v), 1),
     "search k": (lambda v: search(_DB, b"\0", v), 1),
 }
 

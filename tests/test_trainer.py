@@ -286,17 +286,16 @@ def test_update_codes_rejects_dim_mismatch():
         update_codes(params, np.zeros((5, 3)), 4)
 
 
-def test_quantization_gap_rejects_zero_block_size():
+def test_update_codes_rejects_bad_block_sizes():
     data = two_cluster_data(n=50)
     params = start_network(data.features, 7)
-    codes = update_codes(params, data.features, 16)
     for bad in (0, 1.5, True, "16"):
         with pytest.raises(InvalidInput):
-            quantization_gap(params, data.features, codes, batch=bad)
-        with pytest.raises(InvalidInput):
             update_codes(params, data.features, bad)
-    want = quantization_gap(params, data.features, codes, batch=16)
-    assert quantization_gap(params, data.features, codes.tolist(), batch=np.int64(16)) == want
+    want = update_codes(params, data.features, 16)
+    assert np.array_equal(update_codes(params, data.features, np.int64(16)), want)
+    gap = quantization_gap(params, data.features, want)
+    assert quantization_gap(params, data.features, want.tolist()) == gap
 
 
 def test_quantization_gap_rejects_zero_samples():
@@ -320,6 +319,38 @@ def same_layers(a, b):
     return len(a) == len(b) and all(x is y for x, y in zip(a, b))
 
 
+def gap_oracle(params, features, codes):
+    """Mean in float64 of (outputs - codes)^2, the outputs from `forward`
+    of the float32 copy of the network in 256-sample blocks."""
+    outputs = blockwise_forward(trainer._float32_copy(params), features, 256)
+    assert outputs.dtype == np.float32
+    resid = outputs.astype(np.float64) - codes
+    return float(np.mean(resid * resid))
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 700])
+def test_quantization_gap_matches_float32_oracle(n):
+    data = two_cluster_data(n=700)
+    features = data.features[:n]
+    params = start_network(data.features, 8)
+    for codes in (update_codes(params, features),
+                  binarize(np.random.default_rng(n).standard_normal((8, n)))):
+        got = quantization_gap(params, features, codes)
+        want = gap_oracle(params, features, codes)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_quantization_gap_measures_the_outputs_the_codes_are_signs_of():
+    # The network of test_update_codes_encodes_through_the_float32_network:
+    # its float32 output is exactly 0 (code +1), its float64 output -4.7e-10.
+    weights = np.array([[1 - 2.0**-30, -1.0]])
+    params = NetworkParams([Layer(weights, np.zeros(1), "scaled_sigmoid")])
+    x = np.ones((1, 2))
+    codes = update_codes(params, x)
+    assert codes.tolist() == [[1.0]]
+    assert quantization_gap(params, x, codes) == 1.0
+
+
 def test_folded_initial_network_matches_unfolded_pca_layer_and_head():
     data = two_cluster_data(n=500, d=64)
     pca = pca_fit(data.features, 64)
@@ -329,7 +360,7 @@ def test_folded_initial_network_matches_unfolded_pca_layer_and_head():
     assert [l.activation for l in folded.layers] == ["sigmoid", "sigmoid", "scaled_sigmoid"]
     for got_layer, want_layer in zip(folded.layers[1:], head[1:]):
         assert np.array_equal(got_layer.weights, want_layer.weights)
-    got = block_outputs(folded, data.features, 64)
+    got = blockwise_forward(folded, data.features, 64)
     want = blockwise_forward(unfolded, data.features, 64)
     assert got.dtype == want.dtype == np.float64
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -347,7 +378,8 @@ def test_unfolded_identity_layer_update_codes_matches_per_sample_oracle():
         out, _ = forward(params, data.features[[i]].T)
         assert np.array_equal(codes[:, [i]], binarize(out))
     x = data.features
-    assert np.array_equal(block_outputs(params, x, 16), blockwise_forward(params, x, 16))
+    want = blockwise_forward(trainer._float32_copy(params), x, 16)
+    assert np.array_equal(block_outputs(params, x, 16), want)
 
 
 def test_encoding_leaves_params_bitwise_unchanged():
@@ -356,7 +388,7 @@ def test_encoding_leaves_params_bitwise_unchanged():
     before = [(l.weights.copy(), l.bias.copy(), l.activation) for l in params.layers]
     layers = list(params.layers)
     codes = update_codes(params, data.features, 64)
-    quantization_gap(params, data.features, codes, batch=64)
+    quantization_gap(params, data.features, codes)
     assert same_layers(params.layers, layers)
     for layer, (w, b, act) in zip(params.layers, before):
         assert np.array_equal(layer.weights, w) and np.array_equal(layer.bias, b)
