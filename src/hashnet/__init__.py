@@ -12,7 +12,7 @@ from .errors import (
     NumericalFailure,
     UndefinedMetric,
 )
-from .hashloss import Hyperparams, loss, loss_grad, loss_terms, similarity_matrix
+from .hashloss import Hyperparams, loss_grad, loss_terms, similarity_matrix
 from .index import (
     PackedCodes,
     binarize,
@@ -71,7 +71,6 @@ __all__ = [
     "init_binary_codes",
     "init_head_layers",
     "itq",
-    "loss",
     "loss_grad",
     "loss_terms",
     "mean_average_precision",

@@ -10,8 +10,6 @@ import contextlib
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from .errors import (
     DivergenceError,
     FormatError,
@@ -29,21 +27,11 @@ from .formats import (
     write_codes,
 )
 from .hashloss import Hyperparams
-from .index import (
-    _average_precisions,
-    _distances,
-    _mean_ap,
-    pack,
-    search,
-)
+from .index import _ranked_map, pack, search
 from .network import SgdConfig
 from .numerics import check_int
 from .pretrain import ITQ_ITERS, init_binary_codes
 from .trainer import DR_DIM, OUTER_ROUNDS, LabeledFeatures, default_schedule, train, update_codes
-
-
-# Query-database pairs ranked at once by `eval`: about 8 MB of 64-bit ranks.
-_EVAL_TILE_PAIRS = 2**20
 
 
 def _fmt(value: float) -> str:
@@ -126,38 +114,7 @@ def cmd_eval(args) -> int:
     db_labels = read_labels(args.db_labels)
     queries = read_codes(args.queries)
     query_labels = read_labels(args.query_labels)
-    if db_labels.shape[0] != db.n:
-        raise InvalidInput(
-            f"{args.db_labels} holds {db_labels.shape[0]} labels for {db.n} codes"
-        )
-    if query_labels.shape[0] != queries.n:
-        raise InvalidInput(
-            f"{args.query_labels} holds {query_labels.shape[0]} labels for {queries.n} codes"
-        )
-    if db.bits != queries.bits:
-        raise InvalidInput(
-            f"code length mismatch: {args.db} has {db.bits} bits, "
-            f"{args.queries} has {queries.bits}"
-        )
-    if args.leave_one_out and queries.n != db.n:
-        raise InvalidInput(
-            "leave-one-out assumes the queries are the database searched "
-            f"against itself, got {queries.n} queries for {db.n} database codes"
-        )
-    if db.n == 0 and queries.n:
-        raise InvalidInput("cannot search an empty database")
-    # Rank tiles of query rows against the whole database; a tile holds at
-    # most _EVAL_TILE_PAIRS distances (one row when the database is larger).
-    rows = max(1, _EVAL_TILE_PAIRS // max(db.n, 1))
-    aps = []
-    for start in range(0, queries.n, rows):
-        ids = np.arange(start, min(start + rows, queries.n))
-        dists = _distances(db, queries._words[ids, np.newaxis])
-        order = np.argsort(dists, axis=1, kind="stable")
-        if args.leave_one_out:
-            order = order[order != ids[:, np.newaxis]].reshape(ids.size, db.n - 1)
-        aps.append(_average_precisions(db_labels[order] == query_labels[ids, np.newaxis]))
-    value = _mean_ap(aps)
+    value = _ranked_map(db, db_labels, queries, query_labels, args.leave_one_out)
     print(f"mAP {value:.6f}")
     print(f"bits {db.bits}")
     print(f"queries {queries.n}")

@@ -114,15 +114,10 @@ def loss_terms(outputs, codes, sim, hp: Hyperparams):
     return loss_terms_and_grad(outputs, codes, sim, hp)[0]
 
 
-def loss(outputs, codes, sim, hp: Hyperparams) -> float:
-    """Total objective value; non-negative for all inputs."""
-    return float(sum(loss_terms(outputs, codes, sim, hp)))
-
-
 def loss_grad(outputs, codes, sim, hp: Hyperparams) -> np.ndarray:
     """Gradient of the objective with respect to the network outputs.
 
-    Validated against central finite differences of loss() in the test
-    suite, which is the authority on correctness.
+    Validated against central finite differences of the summed
+    loss_terms() in the test suite, which is the authority on correctness.
     """
     return loss_terms_and_grad(outputs, codes, sim, hp)[1]

@@ -16,9 +16,12 @@ that holds `bits`.  Distances are exact, from a full linear scan.
 counting: a histogram of the (at most bits + 1) distance values gives the
 k-th smallest distance, and only the codes at or below it are sorted,
 stably, so ties stay ordered by id.
-Full rankings are stable sorts of the small-integer distances.  A
-PackedCodes instance is immutable after construction, so concurrent
-searches over a shared index are safe.
+Full rankings are stable sorts of the small-integer distances.
+`_ranked_map`, the code-set ranking behind `hashnet eval`, lives here
+beside `search`: it checks a database and a query set with their labels,
+ranks tiles of `_RANK_TILE_PAIRS` query-database pairs against the whole
+database, and returns the mAP.  A PackedCodes instance is immutable after
+construction, so concurrent searches over a shared index are safe.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +35,8 @@ from .numerics import as_float, check_int
 _LANES = tuple(np.dtype(t) for t in (np.uint64, np.uint32, np.uint16, np.uint8))
 # Codes `search` scans at a time, so that no temporary is payload-sized.
 _SCAN_ROWS = 2**15
+# Query-database pairs `_ranked_map` ranks at once: about 8 MB of 64-bit ranks.
+_RANK_TILE_PAIRS = 2**20
 
 
 def binarize(values) -> np.ndarray:
@@ -194,4 +199,42 @@ def mean_average_precision(rankings, query_labels, db_labels) -> float:
         if ids.dtype.kind not in "iu" or not 0 <= ids.min() <= ids.max() < n_db:
             raise InvalidInput(f"ranking ids must be integers indexing the {n_db} database labels")
         aps.append(_average_precisions((db_labels[ids] == qlabel)[np.newaxis]))
+    return _mean_ap(aps)
+
+
+def _ranked_map(db: PackedCodes, db_labels, queries: PackedCodes, query_labels,
+                leave_one_out: bool) -> float:
+    """mAP of every query over its full Hamming ranking of the database.
+
+    Ties rank by database id.  With `leave_one_out`, the queries are the
+    database searched against itself and each query's own id is dropped
+    from its ranking.
+    """
+    if db_labels.shape[0] != db.n:
+        raise InvalidInput(f"{db_labels.shape[0]} database labels for {db.n} database codes")
+    if query_labels.shape[0] != queries.n:
+        raise InvalidInput(f"{query_labels.shape[0]} query labels for {queries.n} query codes")
+    if db.bits != queries.bits:
+        raise InvalidInput(
+            f"code length mismatch: database codes have {db.bits} bits, "
+            f"query codes have {queries.bits}"
+        )
+    if leave_one_out and queries.n != db.n:
+        raise InvalidInput(
+            "leave-one-out assumes the queries are the database searched "
+            f"against itself, got {queries.n} queries for {db.n} database codes"
+        )
+    if db.n == 0 and queries.n:
+        raise InvalidInput("cannot search an empty database")
+    # Rank tiles of query rows against the whole database; a tile holds at
+    # most _RANK_TILE_PAIRS distances (one row when the database is larger).
+    rows = max(1, _RANK_TILE_PAIRS // max(db.n, 1))
+    aps = []
+    for start in range(0, queries.n, rows):
+        ids = np.arange(start, min(start + rows, queries.n))
+        dists = _distances(db, queries._words[ids, np.newaxis])
+        order = np.argsort(dists, axis=1, kind="stable")
+        if leave_one_out:
+            order = order[order != ids[:, np.newaxis]].reshape(ids.size, db.n - 1)
+        aps.append(_average_precisions(db_labels[order] == query_labels[ids, np.newaxis]))
     return _mean_ap(aps)

@@ -225,12 +225,14 @@ def sgd_step(params: NetworkParams, grads, cfg: SgdConfig, velocity) -> NetworkP
     v <- momentum * v - lr * (grad + weight_decay * weight); weight += v.
     Weight decay applies to weights only, never biases.  The update runs in
     the dtype of the weights and velocity, whatever the gradients' dtype.
+    Every gradient and velocity buffer is checked against its parameter's
+    shape before anything is updated.
     """
-    if len(grads) != len(params.layers) or len(velocity) != len(params.layers):
-        raise InvalidInput("gradient or velocity buffers do not match the network")
+    shapes = [(layer.weights.shape, layer.bias.shape) for layer in params.layers]
+    for buffers in (grads, velocity):
+        if [(w.shape, b.shape) for w, b in buffers] != shapes:
+            raise InvalidInput("gradient or velocity buffers do not match the network")
     for layer, (dw, db), (vw, vb) in zip(params.layers, grads, velocity):
-        if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
-            raise InvalidInput("gradient shapes do not match the network")
         vw *= cfg.momentum
         vw -= cfg.learning_rate * (dw + cfg.weight_decay * layer.weights)
         layer.weights += vw

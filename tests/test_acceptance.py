@@ -20,7 +20,7 @@ import pytest
 from hashnet.cli import main
 from hashnet.errors import InvalidInput
 from hashnet.formats import write_features, write_labels
-from hashnet.hashloss import Hyperparams, loss, loss_grad, similarity_matrix
+from hashnet.hashloss import Hyperparams, loss_grad, loss_terms, similarity_matrix
 from hashnet.index import binarize, mean_average_precision, pack, search
 from hashnet.network import Layer, NetworkParams, SgdConfig, backward, forward
 from hashnet.pretrain import itq, pca_fit
@@ -75,14 +75,15 @@ def fd_loss_grad(outputs, codes, sim, hp, step=1e-5):
         up[idx] += step
         down = outputs.copy()
         down[idx] -= step
-        grad[idx] = (loss(up, codes, sim, hp) - loss(down, codes, sim, hp)) / (2 * step)
+        hi, lo = sum(loss_terms(up, codes, sim, hp)), sum(loss_terms(down, codes, sim, hp))
+        grad[idx] = (hi - lo) / (2 * step)
     return grad
 
 
 def fd_network_grads(params, x, codes, sim, hp, step=1e-5):
     def value():
         out, _ = forward(params, x)
-        return loss(out, codes, sim, hp)
+        return sum(loss_terms(out, codes, sim, hp))
 
     grads = []
     for layer in params.layers:
@@ -164,7 +165,7 @@ def test_constructed_minimum():
     outputs = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
     sim = similarity_matrix([0, 0, 1, 1])
     hp = Hyperparams(alpha=0.37, beta=1.1, theta=0.0, gamma=2.4)
-    value = loss(outputs, outputs.copy(), sim, hp)
+    value = sum(loss_terms(outputs, outputs.copy(), sim, hp))
     grad_max = float(np.max(np.abs(loss_grad(outputs, outputs.copy(), sim, hp))))
     ok = value == 0.0 and grad_max <= 1e-12
     report("constructed-minimum", ok, f"loss {value!r}, max grad {grad_max:.2e}")

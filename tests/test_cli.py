@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hashnet.cli
+import hashnet.index
 import hashnet.pretrain
 from hashnet.cli import main
 from hashnet.errors import UndefinedMetric
@@ -129,6 +130,16 @@ def test_non_finite_sgd_rate_exits_2(tmp_path, capsys, flag):
     assert main(["train", str(fpath), str(lpath), "-o", str(out), "--batch", "16", flag, "inf"]) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_divergence_exits_3_and_writes_nothing(tmp_path, capsys):
+    fpath, lpath, _, _ = two_class_files(tmp_path, n=64, d=8)
+    out, log = tmp_path / "m.json", tmp_path / "train.log"
+    argv = ["train", str(fpath), str(lpath), "-o", str(out), "--log", str(log),
+            "--bits", "8", "--batch", "32", "--lr", "1e8", "--weight-decay", "0.9"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: loss diverged at outer ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.hsf", "y.hsl"]
 
 
 def test_train_rejects_mismatched_labels(tmp_path, capsys):
@@ -373,6 +384,32 @@ def test_eval_undefined_metric_exits_4(tmp_path, capsys):
     assert main(["eval", str(db), str(dlab), str(q), str(qlab)]) == 4
 
 
+@pytest.mark.parametrize(
+    "n_db, n_db_labels, n_q, n_q_labels, q_bits, flags, message",
+    [
+        (3, 2, 2, 2, 4, [], "2 database labels for 3 database codes"),
+        (3, 3, 2, 1, 4, [], "1 query labels for 2 query codes"),
+        (3, 3, 2, 2, 5, [], "database codes have 4 bits, query codes have 5"),
+        (3, 3, 2, 2, 4, ["--leave-one-out"], "got 2 queries for 3 database codes"),
+        (0, 0, 2, 2, 4, [], "cannot search an empty database"),
+    ],
+    ids=["database_labels", "query_labels", "code_length", "leave_one_out", "empty_database"],
+)
+def test_eval_rejects_inputs_that_do_not_fit_exits_2(
+    tmp_path, capsys, n_db, n_db_labels, n_q, n_q_labels, q_bits, flags, message
+):
+    db, dlab = tmp_path / "db.hsb", tmp_path / "db.hsl"
+    q, qlab = tmp_path / "q.hsb", tmp_path / "q.hsl"
+    write_codes(db, pack(np.ones((4, n_db))))
+    write_labels(dlab, np.zeros(n_db_labels, dtype=int))
+    write_codes(q, pack(np.ones((q_bits, n_q))))
+    write_labels(qlab, np.zeros(n_q_labels, dtype=int))
+    assert main(["eval", str(db), str(dlab), str(q), str(qlab), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 @pytest.mark.parametrize("case", ["queries", "leave_one_out", "no_relevant"])
 def test_eval_tiles_match_map_of_search_rankings(tmp_path, capsys, monkeypatch, case):
     rng = np.random.default_rng(12)
@@ -404,15 +441,15 @@ def test_eval_tiles_match_map_of_search_rankings(tmp_path, capsys, monkeypatch, 
         rankings.append(ranked)
 
     # Seven query rows per tile, so every query set spans several tiles.
-    monkeypatch.setattr(hashnet.cli, "_EVAL_TILE_PAIRS", 7 * n)
+    monkeypatch.setattr(hashnet.index, "_RANK_TILE_PAIRS", 7 * n)
     computed = []
-    blocked = hashnet.cli._mean_ap
+    blocked = hashnet.index._mean_ap
 
     def spy(aps):
         computed.append(blocked(aps))
         return computed[-1]
 
-    monkeypatch.setattr(hashnet.cli, "_mean_ap", spy)
+    monkeypatch.setattr(hashnet.index, "_mean_ap", spy)
     argv = ["eval", str(db), str(dlab), str(q), str(qlab)]
     if case == "leave_one_out":
         argv.append("--leave-one-out")

@@ -110,6 +110,22 @@ def test_labels_reject_negative():
         write_labels("/tmp/never-written.hsl", [-1])
 
 
+@pytest.mark.parametrize(
+    "write, value, message",
+    [
+        (write_features, np.zeros(4), r"features must be 2-d, got shape \(4,\)"),
+        (write_labels, np.zeros((2, 2), dtype=int), r"labels must be 1-d, got shape \(2, 2\)"),
+        (write_labels, np.array([0.0, 1.0]), "labels must be integers"),
+    ],
+    ids=["features_1d", "labels_2d", "labels_float"],
+)
+def test_writers_reject_malformed_arrays_and_write_nothing(tmp_path, write, value, message):
+    path = tmp_path / "out"
+    with pytest.raises(InvalidInput, match=message):
+        write(path, value)
+    assert not path.exists()
+
+
 def test_labels_rejects_truncation(tmp_path):
     path = tmp_path / "y.hsl"
     write_labels(path, [1, 2, 3])

@@ -6,7 +6,6 @@ import pytest
 from hashnet.errors import InvalidInput
 from hashnet.hashloss import (
     Hyperparams,
-    loss,
     loss_grad,
     loss_terms,
     loss_terms_and_grad,
@@ -55,7 +54,8 @@ def fd_grad(F, B, S, hp, step=1e-5):
             up[k, i] += step
             dn = F.copy()
             dn[k, i] -= step
-            g[k, i] = (loss(up, B, S, hp) - loss(dn, B, S, hp)) / (2 * step)
+            hi, lo = sum(loss_terms(up, B, S, hp)), sum(loss_terms(dn, B, S, hp))
+            g[k, i] = (hi - lo) / (2 * step)
     return g
 
 
@@ -106,21 +106,21 @@ def constructed_minimum():
 
 def test_loss_zero_at_constructed_minimum():
     F, B, S, hp = constructed_minimum()
-    assert loss(F, B, S, hp) == 0.0
+    assert sum(loss_terms(F, B, S, hp)) == 0.0
 
 
 def test_loss_zero_for_identical_same_class_codes():
     F = np.ones((2, 2))
     S = np.ones((2, 2))
     hp = Hyperparams(alpha=1.0, beta=1.0, theta=0.0, gamma=0.0)
-    assert loss(F, F.copy(), S, hp) == 0.0
+    assert sum(loss_terms(F, F.copy(), S, hp)) == 0.0
 
 
 def test_loss_matches_scalar_oracle():
     rng = np.random.default_rng(42)
     F, B, S = random_instance(rng)
     hp = Hyperparams(alpha=1.0, beta=1.0, theta=1.0, gamma=1.0)
-    assert loss(F, B, S, hp) == pytest.approx(loss_oracle(F, B, S, hp), abs=1e-12)
+    assert sum(loss_terms(F, B, S, hp)) == pytest.approx(loss_oracle(F, B, S, hp), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -130,15 +130,17 @@ def test_loss_terms_individually_non_negative(seed):
     hp = Hyperparams(*rng.uniform(0, 1, size=4))
     terms = loss_terms(F, B, S, hp)
     assert all(t >= 0.0 for t in terms)
-    assert loss(F, B, S, hp) == pytest.approx(sum(terms))
+    assert sum(terms) == pytest.approx(loss_oracle(F, B, S, hp), abs=1e-12)
 
 
 def test_loss_shape_mismatch():
     F = np.zeros((2, 3))
     with pytest.raises(InvalidInput):
-        loss(F, np.ones((2, 4)), np.eye(3), Hyperparams())
+        loss_terms(F, np.ones((2, 4)), np.eye(3), Hyperparams())
     with pytest.raises(InvalidInput):
-        loss(F, np.ones((2, 3)), np.eye(4), Hyperparams())
+        loss_terms(F, np.ones((2, 3)), np.eye(4), Hyperparams())
+    with pytest.raises(InvalidInput, match=r"bits x batch matrix, got shape \(3,\)"):
+        loss_terms(np.zeros(3), np.ones(3), np.eye(3), Hyperparams())
 
 
 def test_loss_invariant_under_column_permutation():
@@ -146,8 +148,8 @@ def test_loss_invariant_under_column_permutation():
     F, B, S = random_instance(rng, L=4, m=6)
     hp = Hyperparams(0.3, 0.4, 0.2, 0.1)
     perm = rng.permutation(6)
-    permuted = loss(F[:, perm], B[:, perm], S[np.ix_(perm, perm)], hp)
-    assert permuted == pytest.approx(loss(F, B, S, hp), rel=1e-12)
+    permuted = sum(loss_terms(F[:, perm], B[:, perm], S[np.ix_(perm, perm)], hp))
+    assert permuted == pytest.approx(sum(loss_terms(F, B, S, hp)), rel=1e-12)
 
 
 def test_loss_zero_iff_gram_matches_similarity():
@@ -156,10 +158,10 @@ def test_loss_zero_iff_gram_matches_similarity():
     hp = Hyperparams(alpha=1.0, beta=0.0, theta=0.0, gamma=0.0)
     F = np.array([[1.0, -1.0], [1.0, -1.0]])
     S = similarity_matrix([0, 1])
-    assert loss(F, np.sign(F), S, hp) == 0.0
+    assert sum(loss_terms(F, np.sign(F), S, hp)) == 0.0
     F2 = F.copy()
     F2[0, 0] = 0.5
-    assert loss(F2, np.sign(F), S, hp) > 0.0
+    assert sum(loss_terms(F2, np.sign(F), S, hp)) > 0.0
 
 
 def test_grad_zero_at_constructed_minimum():

@@ -380,3 +380,41 @@ def test_binarize_matches_where_oracle():
         want = np.where(np.asarray(values, dtype=np.float64) >= 0, 1.0, -1.0)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# Inputs `_ranked_map` rejects, one per check: database codes, database
+# labels, query codes, query labels, query code length, leave-one-out.
+RANKED_MAP_MISFITS = {
+    "database labels": ((3, 2, 2, 2, 4, False), "2 database labels for 3 database codes"),
+    "query labels": ((3, 3, 2, 1, 4, False), "1 query labels for 2 query codes"),
+    "code length": ((3, 3, 2, 2, 5, False), "database codes have 4 bits, query codes have 5"),
+    "leave-one-out": ((3, 3, 2, 2, 4, True), "got 2 queries for 3 database codes"),
+    "empty database": ((0, 0, 2, 2, 4, False), "cannot search an empty database"),
+}
+
+
+@pytest.mark.parametrize("case", RANKED_MAP_MISFITS)
+def test_ranked_map_rejects_inputs_that_do_not_fit(case):
+    (n_db, n_db_labels, n_q, n_q_labels, q_bits, leave_one_out), message = RANKED_MAP_MISFITS[case]
+    db, queries = pack(np.ones((4, n_db))), pack(np.ones((q_bits, n_q)))
+    labels = np.zeros(max(n_db_labels, n_q_labels), dtype=np.int64)
+    with pytest.raises(InvalidInput, match=message):
+        hashnet.index._ranked_map(
+            db, labels[:n_db_labels], queries, labels[:n_q_labels], leave_one_out
+        )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: search(pack(np.ones((8, 3))), b"\x00\x00", 1),
+         "query holds 2 bytes, database codes hold 1"),
+        (lambda: mean_average_precision([[(0, 0)]], [0, 1], [0, 0]),
+         "1 rankings for 2 query labels"),
+        (lambda: pack(np.ones(8)), r"bits x n matrix, got shape \(8,\)"),
+    ],
+    ids=["search_query_length", "map_more_labels_than_rankings", "pack_1d"],
+)
+def test_index_rejects_malformed_arguments(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hashnet.errors import InvalidInput
-from hashnet.hashloss import Hyperparams, loss, loss_grad, similarity_matrix
+from hashnet.hashloss import Hyperparams, loss_grad, loss_terms, similarity_matrix
 from hashnet.network import (
     Layer,
     NetworkParams,
@@ -32,7 +32,7 @@ def random_net(rng, dims, acts):
 
 def composed_loss(params, X, B, S, hp):
     F, _ = forward(params, X)
-    return loss(F, B, S, hp)
+    return sum(loss_terms(F, B, S, hp))
 
 
 def fd_param_grads(params, X, B, S, hp, step=1e-5):
@@ -484,3 +484,41 @@ def test_sgd_step_applies_float32_gradients_in_float64():
         assert got.bias.tobytes() == want.bias.tobytes()
     rounded = (1e-4 * grads32[0][1]).astype(np.float64)
     assert not np.array_equal(rounded, 1e-4 * grads64[0][1])  # the case tells them apart
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["too_few_gradients", "too_few_velocities", "gradient_shape", "velocity_shape",
+     "tape_shapes", "1d_weights"],
+)
+def test_network_rejects_malformed_arguments(case):
+    message = {
+        "tape_shapes": "layer shapes differ",
+        "1d_weights": r"weights must be 2-d, got shape \(3,\)",
+    }.get(case, "gradient or velocity buffers do not match the network")
+    rng = np.random.default_rng(7)
+    params = random_net(rng, [3, 4, 2], ["sigmoid", "identity"])
+    before = [(l.weights.copy(), l.bias.copy()) for l in params.layers]
+    cfg = SgdConfig(learning_rate=0.1, weight_decay=0.0, momentum=0.5)
+    grads = [(np.ones_like(l.weights), np.ones_like(l.bias)) for l in params.layers]
+    velocity = zero_velocity(params)
+    with pytest.raises(InvalidInput, match=message):
+        if case == "too_few_gradients":
+            sgd_step(params, grads[:1], cfg, velocity)
+        elif case == "too_few_velocities":
+            sgd_step(params, grads, cfg, velocity[:1])
+        elif case == "gradient_shape":
+            grads[1] = (np.ones((2, 3)), np.ones(2))
+            sgd_step(params, grads, cfg, velocity)
+        elif case == "velocity_shape":
+            velocity[1] = (np.ones((2, 3)), np.ones(2))
+            sgd_step(params, grads, cfg, velocity)
+        elif case == "tape_shapes":
+            other = random_net(rng, [3, 5, 2], ["sigmoid", "identity"])
+            _, tape = forward(other, rng.standard_normal((3, 6)))
+            backward(params, tape, np.zeros((2, 6)))
+        else:
+            Layer(np.ones(3), np.zeros(1), "identity")
+    # A rejected step leaves every layer as it was, even past the first.
+    for layer, (w, b) in zip(params.layers, before):
+        assert np.array_equal(layer.weights, w) and np.array_equal(layer.bias, b)

@@ -135,6 +135,20 @@ def test_itq_rejects_more_bits_than_samples():
         itq(np.zeros((4, 2)), iters=0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "projected, init_rotation, message",
+    [
+        (np.ones(4), None, r"projected data must be 2-d, got shape \(4,\)"),
+        (np.where(corners(2) > 0, np.inf, -1.0), None, "non-finite"),
+        (corners(2), np.eye(3), "initial rotation must be 2 x 2"),
+    ],
+    ids=["1d", "non_finite", "rotation_shape"],
+)
+def test_itq_rejects_malformed_input(projected, init_rotation, message):
+    with pytest.raises(InvalidInput, match=message):
+        itq(projected, iters=2, seed=0, init_rotation=init_rotation)
+
+
 def test_init_binary_codes_entries_and_determinism():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((50, 6))

@@ -304,6 +304,14 @@ def test_quantization_gap_rejects_zero_samples():
         quantization_gap(params, np.zeros((0, 16)), np.zeros((8, 0)))
 
 
+@pytest.mark.parametrize("shape", [(8, 49), (49, 8), (8,)])
+def test_quantization_gap_rejects_codes_of_the_wrong_shape(shape):
+    features = two_cluster_data(n=50).features
+    params = start_network(features, 7)
+    with pytest.raises(InvalidInput, match=r"does not match \(8, 50\)"):
+        quantization_gap(params, features, np.ones(shape))
+
+
 def blockwise_forward(params, features, batch):
     """Oracle: `forward` of the network, block by block."""
     return np.hstack(
@@ -445,6 +453,8 @@ def test_labeled_features_validation():
         LabeledFeatures(np.zeros((4, 2)), np.zeros(3, dtype=int))
     with pytest.raises(InvalidInput):
         LabeledFeatures(np.full((4, 2), np.nan), np.zeros(4, dtype=int))
+    with pytest.raises(InvalidInput, match=r"features must be 2-d, got shape \(4,\)"):
+        LabeledFeatures(np.zeros(4), np.zeros(4, dtype=int))
 
 
 def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
