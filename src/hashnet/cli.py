@@ -46,14 +46,7 @@ def _text_out(path):
 
 
 def cmd_train(args) -> int:
-    features = read_features(args.features)
-    labels = read_labels(args.labels)
-    if labels.shape[0] != features.shape[0]:
-        raise InvalidInput(
-            f"{args.labels} holds {labels.shape[0]} labels for "
-            f"{features.shape[0]} samples in {args.features}"
-        )
-    data = LabeledFeatures(features, labels)
+    data = LabeledFeatures(read_features(args.features), read_labels(args.labels))
     sched = replace(default_schedule(data.n, args.batch, seed=args.seed), outer=args.outer)
     hp = Hyperparams(alpha=args.alpha, beta=args.beta, theta=args.theta, gamma=args.gamma)
     sgd = SgdConfig(learning_rate=args.lr, weight_decay=args.weight_decay, momentum=args.momentum)

@@ -14,7 +14,9 @@ class FormatError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite or exploding loss."""
+    """Training produced a non-finite or exploding loss, or a step or code
+    refresh overflowed.  `outer` and `inner` name the step; a code refresh
+    is named by the last step of its round."""
 
     def __init__(self, message: str, outer: int, inner: int):
         super().__init__(message)

@@ -1,11 +1,12 @@
 """Pairwise label similarity and the relaxed binary-code training objective.
 
 The objective scores a batch of real-valued network outputs against an
-explicitly binary copy of the codes.  Four weighted terms: similarity
-preservation (the code Gram matrix should match the label similarity
-matrix), quantization penalty (outputs should sit near their binary
-counterparts), bit independence (code-bit covariance near identity), and
-bit balance (each bit +1 on half the batch).
+explicitly binary copy of the codes and the batch's class labels.  Four
+weighted terms: similarity preservation (the code Gram matrix should match
+the similarity matrix of the labels, built only here), quantization penalty
+(outputs should sit near their binary counterparts), bit independence
+(code-bit covariance near identity), and bit balance (each bit +1 on half
+the batch).
 
 Terms are normalized per batch (similarity by 1/m^2, quantization by 1/m,
 independence and balance through 1/m inside the squared norm) so the term
@@ -69,26 +70,29 @@ def _pair_signs(labels: np.ndarray, dtype) -> np.ndarray:
     return sim
 
 
-def _check_shapes(outputs, codes, sim):
+def _check_shapes(outputs, codes, labels):
+    """Outputs, codes and the labels' similarity matrix, all in the
+    outputs' dtype; one label per batch column."""
     outputs = as_float(outputs)
     codes = np.asarray(codes, dtype=outputs.dtype)
-    sim = np.asarray(sim, dtype=outputs.dtype)
     if outputs.ndim != 2 or outputs.shape[1] < 1:
         raise InvalidInput(f"outputs must be a bits x batch matrix, got shape {outputs.shape}")
     if codes.shape != outputs.shape:
         raise InvalidInput(f"binary codes shape {codes.shape} does not match outputs {outputs.shape}")
+    labels = _check_labels(labels)
     m = outputs.shape[1]
-    if sim.shape != (m, m):
-        raise InvalidInput(f"similarity matrix shape {sim.shape} does not match batch size {m}")
-    return outputs, codes, sim
+    if labels.shape[0] != m:
+        raise InvalidInput(f"{labels.shape[0]} labels for a batch of {m}")
+    return outputs, codes, _pair_signs(labels, outputs.dtype)
 
 
-def loss_terms_and_grad(outputs, codes, sim, hp: Hyperparams):
+def loss_terms_and_grad(outputs, codes, labels, hp: Hyperparams):
     """The four weighted loss terms (similarity, quantization, independence,
     balance) and the gradient of their sum with respect to the outputs,
-    sharing one Gram, one covariance and one row-sum evaluation.  The
-    gradient has the outputs' dtype."""
-    outputs, codes, sim = _check_shapes(outputs, codes, sim)
+    sharing one Gram, one covariance and one row-sum evaluation.  `labels`
+    holds one class id per batch column.  The gradient has the outputs'
+    dtype."""
+    outputs, codes, sim = _check_shapes(outputs, codes, labels)
     bits, m = outputs.shape
     gram = outputs.T @ outputs / bits - sim
     diff = outputs - codes
@@ -108,16 +112,16 @@ def loss_terms_and_grad(outputs, codes, sim, hp: Hyperparams):
     return terms, grad
 
 
-def loss_terms(outputs, codes, sim, hp: Hyperparams):
+def loss_terms(outputs, codes, labels, hp: Hyperparams):
     """The four weighted loss terms (similarity, quantization, independence,
     balance), each non-negative.  Their sum is the total loss."""
-    return loss_terms_and_grad(outputs, codes, sim, hp)[0]
+    return loss_terms_and_grad(outputs, codes, labels, hp)[0]
 
 
-def loss_grad(outputs, codes, sim, hp: Hyperparams) -> np.ndarray:
+def loss_grad(outputs, codes, labels, hp: Hyperparams) -> np.ndarray:
     """Gradient of the objective with respect to the network outputs.
 
     Validated against central finite differences of the summed
     loss_terms() in the test suite, which is the authority on correctness.
     """
-    return loss_terms_and_grad(outputs, codes, sim, hp)[1]
+    return loss_terms_and_grad(outputs, codes, labels, hp)[1]

@@ -5,7 +5,9 @@ T minibatch SGD steps against them, then refreshes the codes as the sign
 of the network output over the whole training set.  Batches come from a
 seeded epoch shuffle, so every sample is visited exactly once per pass and
 every artifact (loss history, parameters, codes) is reproducible bitwise
-for a fixed seed.
+for a fixed seed.  Each step hands the loss its batch's labels; the labels
+are checked once, by LabeledFeatures.  A step or refresh that overflows
+float32 ends the run with DivergenceError.
 
 Training computes in float32 against float64 master weights: each step
 runs forward, loss and backward on a float32 copy of the network and
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, InvalidInput
-from .hashloss import Hyperparams, _check_labels, _pair_signs, loss_terms_and_grad
+from .hashloss import Hyperparams, _check_labels, loss_terms_and_grad
 from .index import binarize
 from .network import (
     Layer,
@@ -71,20 +73,19 @@ class TrainSchedule:
 
 @dataclass(frozen=True)
 class LabeledFeatures:
-    """Training inputs: (n x d) features with one class id per sample."""
+    """Training inputs: (n x d) finite features with one class id, a
+    non-negative integer, per sample.  The one check of training labels."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         features = as_float(self.features)
-        labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise InvalidInput(f"features must be 2-d, got shape {features.shape}")
-        if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
-            raise InvalidInput(
-                f"{labels.shape} labels do not match {features.shape[0]} samples"
-            )
+        labels = _check_labels(self.labels)
+        if labels.shape[0] != features.shape[0]:
+            raise InvalidInput(f"{labels.shape[0]} labels for {features.shape[0]} samples")
         if not np.all(np.isfinite(features)):
             raise InvalidInput("features contain non-finite values")
         object.__setattr__(self, "features", features)
@@ -189,16 +190,14 @@ def update_codes(params: NetworkParams, features, batch: int = ENCODE_BLOCK) -> 
     return out
 
 
-def _batch_indices(order: np.ndarray, pos: int, batch: int, rng: np.random.Generator):
-    """Next chunk of the epoch shuffle, reshuffling when exhausted.
-
-    The last chunk of a pass may be shorter than the batch size.
-    """
-    if pos >= order.size:
-        order = rng.permutation(order.size)
-        pos = 0
-    chunk = order[pos : pos + batch]
-    return order, pos + chunk.size, chunk
+def _batches(n: int, batch: int, rng: np.random.Generator):
+    """Endless chunks of at most `batch` of `rng.permutation(n)`, drawn
+    afresh at the first chunk of each pass; the last chunk of a pass may
+    be shorter."""
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            yield order[start : start + batch]
 
 
 def train(
@@ -217,19 +216,20 @@ def train(
     minibatch SGD steps against the frozen codes and re-binarize the codes
     from the updated network.  One PCA serves both the reduction layer and
     ITQ.  Raises DivergenceError if a batch loss goes non-finite or
-    explodes past 1e6 times the first positive batch loss.
+    explodes past 1e6 times the first positive batch loss, or if a step or
+    a code refresh overflows or makes a NaN.
 
     Steps and code refreshes compute in float32: on the features as float32
     (float32 features, which read_features returns, are used without a
-    copy), on float32 +-1 codes and similarity matrices, and on a float32
-    copy of the network.  The SGD update applies their gradients to
-    float64 master weights in float64.  The labels are checked once, up
-    front.  The returned parameters are float64, so the model file stays
+    copy), on float32 +-1 codes, and on a float32 copy of the network; the
+    loss builds each batch's similarity matrix from its labels in float32.
+    The SGD update applies their gradients to float64 master weights in
+    float64.  The returned parameters are float64, so the model file stays
     float64, and the codes are float64 +-1: the codes `update_codes` gives
     the returned parameters.
     """
     check_int(dr_dim, "reduction dim", 1)
-    labels = _check_labels(data.labels)
+    labels = data.labels
     if np.unique(labels).size < 2:
         raise InvalidInput("training data must contain at least 2 classes")
     if sched.batch > data.n:
@@ -249,31 +249,30 @@ def train(
     velocity = zero_velocity(params)
     history: list[BatchRecord] = []
     first_total = None
-    order = rng.permutation(data.n)
-    pos = 0
-
-    for k in range(1, sched.outer + 1):
-        codes32 = codes.astype(np.float32)
-        for t in range(1, sched.inner + 1):
-            order, pos, idx = _batch_indices(order, pos, sched.batch, rng)
-            batch_x = features32[idx].T
-            batch_sim = _pair_signs(labels[idx], np.float32)
-            batch_codes = codes32[:, idx]
-            compute = _float32_copy(params)
-            outputs, tape = forward(compute, batch_x)
-            terms, grad = loss_terms_and_grad(outputs, batch_codes, batch_sim, hp)
-            total = float(sum(terms))
-            if not np.isfinite(total) or (
-                first_total is not None and total > DIVERGENCE_FACTOR * first_total
-            ):
-                raise DivergenceError(
-                    f"loss diverged at outer {k}, inner {t}: {total!r}", outer=k, inner=t
-                )
-            if first_total is None and total > 0:
-                first_total = total
-            sgd_step(params, backward(compute, tape, grad), sgd, velocity)
-            history.append(BatchRecord(k, t, total, *terms))
-        codes = update_codes(params, features32)
+    batches = _batches(data.n, sched.batch, rng)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(1, sched.outer + 1):
+                codes32 = codes.astype(np.float32)
+                for t, idx in zip(range(1, sched.inner + 1), batches):
+                    compute = _float32_copy(params)
+                    outputs, tape = forward(compute, features32[idx].T)
+                    terms, grad = loss_terms_and_grad(outputs, codes32[:, idx], labels[idx], hp)
+                    total = float(sum(terms))
+                    # An exploding loss diverges as an overflow does.
+                    if not np.isfinite(total) or (
+                        first_total is not None and total > DIVERGENCE_FACTOR * first_total
+                    ):
+                        raise FloatingPointError(repr(total))
+                    if first_total is None and total > 0:
+                        first_total = total
+                    sgd_step(params, backward(compute, tape, grad), sgd, velocity)
+                    history.append(BatchRecord(k, t, total, *terms))
+                codes = update_codes(params, features32)
+    except FloatingPointError as exc:
+        raise DivergenceError(
+            f"loss diverged at outer {k}, inner {t}: {exc}", outer=k, inner=t
+        ) from exc
 
     return TrainState(params=params, codes=codes, history=history)
 

@@ -20,7 +20,7 @@ import pytest
 from hashnet.cli import main
 from hashnet.errors import InvalidInput
 from hashnet.formats import write_features, write_labels
-from hashnet.hashloss import Hyperparams, loss_grad, loss_terms, similarity_matrix
+from hashnet.hashloss import Hyperparams, loss_grad, loss_terms
 from hashnet.index import binarize, mean_average_precision, pack, search
 from hashnet.network import Layer, NetworkParams, SgdConfig, backward, forward
 from hashnet.pretrain import itq, pca_fit
@@ -68,22 +68,22 @@ def retrieval_map(db_codes, query_codes, db_labels, query_labels):
     return mean_average_precision(rankings, query_labels, db_labels)
 
 
-def fd_loss_grad(outputs, codes, sim, hp, step=1e-5):
+def fd_loss_grad(outputs, codes, labels, hp, step=1e-5):
     grad = np.zeros_like(outputs)
     for idx in np.ndindex(outputs.shape):
         up = outputs.copy()
         up[idx] += step
         down = outputs.copy()
         down[idx] -= step
-        hi, lo = sum(loss_terms(up, codes, sim, hp)), sum(loss_terms(down, codes, sim, hp))
+        hi, lo = sum(loss_terms(up, codes, labels, hp)), sum(loss_terms(down, codes, labels, hp))
         grad[idx] = (hi - lo) / (2 * step)
     return grad
 
 
-def fd_network_grads(params, x, codes, sim, hp, step=1e-5):
+def fd_network_grads(params, x, codes, labels, hp, step=1e-5):
     def value():
         out, _ = forward(params, x)
-        return sum(loss_terms(out, codes, sim, hp))
+        return sum(loss_terms(out, codes, labels, hp))
 
     grads = []
     for layer in params.layers:
@@ -130,9 +130,9 @@ def test_gradient_correctness():
         hp = Hyperparams(*rng.uniform(0, 1, size=4))
         outputs = rng.uniform(-0.95, 0.95, size=(bits, m))
         codes = np.where(rng.standard_normal((bits, m)) >= 0, 1.0, -1.0)
-        sim = similarity_matrix(rng.integers(0, 3, size=m))
-        got = loss_grad(outputs, codes, sim, hp)
-        worst_loss = max(worst_loss, float(np.max(np.abs(got - fd_loss_grad(outputs, codes, sim, hp)))))
+        labels = rng.integers(0, 3, size=m)
+        got = loss_grad(outputs, codes, labels, hp)
+        worst_loss = max(worst_loss, float(np.max(np.abs(got - fd_loss_grad(outputs, codes, labels, hp)))))
 
         in_dim = int(rng.integers(1, 9))
         hidden = int(rng.integers(1, 9))
@@ -148,8 +148,8 @@ def test_gradient_correctness():
         )
         x = rng.standard_normal((in_dim, m))
         out, tape = forward(params, x)
-        analytic = backward(params, tape, loss_grad(out, codes, sim, hp))
-        numeric = fd_network_grads(params, x, codes, sim, hp)
+        analytic = backward(params, tape, loss_grad(out, codes, labels, hp))
+        numeric = fd_network_grads(params, x, codes, labels, hp)
         for (dw, db), (ew, eb) in zip(analytic, numeric):
             worst_net = max(worst_net, float(np.max(np.abs(dw - ew))), float(np.max(np.abs(db - eb))))
     elapsed = time.perf_counter() - started
@@ -163,10 +163,10 @@ def test_gradient_correctness():
 
 def test_constructed_minimum():
     outputs = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
-    sim = similarity_matrix([0, 0, 1, 1])
+    labels = [0, 0, 1, 1]
     hp = Hyperparams(alpha=0.37, beta=1.1, theta=0.0, gamma=2.4)
-    value = sum(loss_terms(outputs, outputs.copy(), sim, hp))
-    grad_max = float(np.max(np.abs(loss_grad(outputs, outputs.copy(), sim, hp))))
+    value = sum(loss_terms(outputs, outputs.copy(), labels, hp))
+    grad_max = float(np.max(np.abs(loss_grad(outputs, outputs.copy(), labels, hp))))
     ok = value == 0.0 and grad_max <= 1e-12
     report("constructed-minimum", ok, f"loss {value!r}, max grad {grad_max:.2e}")
 

@@ -147,6 +147,8 @@ def test_train_rejects_mismatched_labels(tmp_path, capsys):
     write_labels(lpath, np.zeros(7, dtype=int))
     code = main(["train", str(fpath), str(lpath), "-o", str(tmp_path / "m.json"), "--batch", "8"])
     assert code == 2
+    assert capsys.readouterr().err == "error: 7 labels for 40 samples\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.hsf", "y.hsl"]
 
 
 def test_encode_matches_forward_and_is_deterministic(tmp_path):

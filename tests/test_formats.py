@@ -432,3 +432,33 @@ def test_fifo_is_written_in_place_and_read_whole(tmp_path):
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert listing(tmp_path) == ["pipe.hsb", "regular.hsb"]
+
+
+# Features and labels larger than a 64 KiB pipe buffer, so the reader
+# takes them in several pieces.
+FIFO_INPUTS = {
+    "features": (write_features, read_features,
+                 np.random.default_rng(6).standard_normal((300, 64)).astype(np.float32)),
+    "labels": (write_labels, read_labels, np.random.default_rng(7).integers(0, 10, size=20000)),
+}
+
+
+@pytest.mark.parametrize("kind", FIFO_INPUTS)
+def test_fifo_input_reads_as_its_regular_copy(tmp_path, kind):
+    write, read, value = FIFO_INPUTS[kind]
+    fifo, regular = tmp_path / "pipe", tmp_path / "regular"
+    os.mkfifo(fifo)
+    write(regular, value)
+
+    def write_pipe():
+        with open(fifo, "wb") as f:
+            f.write(regular.read_bytes())
+
+    writer = threading.Thread(target=write_pipe, daemon=True)
+    writer.start()
+    got = read(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    want = read(regular)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(want, value)

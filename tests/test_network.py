@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hashnet.errors import InvalidInput
-from hashnet.hashloss import Hyperparams, loss_grad, loss_terms, similarity_matrix
+from hashnet.hashloss import Hyperparams, loss_grad, loss_terms
 from hashnet.network import (
     Layer,
     NetworkParams,
@@ -30,12 +30,12 @@ def random_net(rng, dims, acts):
     return NetworkParams(layers)
 
 
-def composed_loss(params, X, B, S, hp):
+def composed_loss(params, X, B, labels, hp):
     F, _ = forward(params, X)
-    return sum(loss_terms(F, B, S, hp))
+    return sum(loss_terms(F, B, labels, hp))
 
 
-def fd_param_grads(params, X, B, S, hp, step=1e-5):
+def fd_param_grads(params, X, B, labels, hp, step=1e-5):
     """Central finite differences through forward + loss for every weight and bias."""
     out = []
     for layer in params.layers:
@@ -43,18 +43,18 @@ def fd_param_grads(params, X, B, S, hp, step=1e-5):
         for idx in np.ndindex(layer.weights.shape):
             orig = layer.weights[idx]
             layer.weights[idx] = orig + step
-            hi = composed_loss(params, X, B, S, hp)
+            hi = composed_loss(params, X, B, labels, hp)
             layer.weights[idx] = orig - step
-            lo = composed_loss(params, X, B, S, hp)
+            lo = composed_loss(params, X, B, labels, hp)
             layer.weights[idx] = orig
             dw[idx] = (hi - lo) / (2 * step)
         db = np.zeros_like(layer.bias)
         for i in range(layer.bias.size):
             orig = layer.bias[i]
             layer.bias[i] = orig + step
-            hi = composed_loss(params, X, B, S, hp)
+            hi = composed_loss(params, X, B, labels, hp)
             layer.bias[i] = orig - step
-            lo = composed_loss(params, X, B, S, hp)
+            lo = composed_loss(params, X, B, labels, hp)
             layer.bias[i] = orig
             db[i] = (hi - lo) / (2 * step)
         out.append((dw, db))
@@ -193,11 +193,11 @@ def test_backward_matches_finite_differences_two_layer():
     params = random_net(rng, [4, 3, 2], ["identity", "scaled_sigmoid"])
     X = rng.standard_normal((4, 5))
     B = np.where(rng.standard_normal((2, 5)) >= 0, 1.0, -1.0)
-    S = similarity_matrix(rng.integers(0, 2, size=5))
+    labels = rng.integers(0, 2, size=5)
     hp = Hyperparams(0.5, 0.8, 0.3, 0.2)
     F, tape = forward(params, X)
-    grads = backward(params, tape, loss_grad(F, B, S, hp))
-    expected = fd_param_grads(params, X, B, S, hp)
+    grads = backward(params, tape, loss_grad(F, B, labels, hp))
+    expected = fd_param_grads(params, X, B, labels, hp)
     for (dw, db), (ew, eb) in zip(grads, expected):
         assert np.max(np.abs(dw - ew)) <= 1e-6
         assert np.max(np.abs(db - eb)) <= 1e-6
@@ -214,11 +214,11 @@ def test_gradient_check_random_small_networks(seed):
     params = random_net(rng, dims, acts)
     X = rng.standard_normal((dims[0], m))
     B = np.where(rng.standard_normal((dims[-1], m)) >= 0, 1.0, -1.0)
-    S = similarity_matrix(rng.integers(0, 3, size=m))
+    labels = rng.integers(0, 3, size=m)
     hp = Hyperparams(*rng.uniform(0, 1, size=4))
     F, tape = forward(params, X)
-    grads = backward(params, tape, loss_grad(F, B, S, hp))
-    expected = fd_param_grads(params, X, B, S, hp)
+    grads = backward(params, tape, loss_grad(F, B, labels, hp))
+    expected = fd_param_grads(params, X, B, labels, hp)
     for (dw, db), (ew, eb) in zip(grads, expected):
         assert np.max(np.abs(dw - ew)) <= 1e-6
         assert np.max(np.abs(db - eb)) <= 1e-6
@@ -383,10 +383,10 @@ def float_net_case(seed):
     params = random_net(rng, dims, acts)
     X = rng.standard_normal((64, 50))
     B = np.where(rng.standard_normal((8, 50)) >= 0, 1.0, -1.0)
-    S = similarity_matrix(rng.integers(0, 3, size=50))
+    labels = rng.integers(0, 3, size=50)
     # numpy float64 weights, which must not widen a float32 loss
     hp = Hyperparams(*rng.uniform(0.1, 1, size=4))
-    return params, X, B, S, hp
+    return params, X, B, labels, hp
 
 
 def test_layer_keeps_float32_and_widens_other_dtypes():
@@ -409,12 +409,12 @@ def test_network_rejects_layers_of_mixed_dtypes():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_float32_step_agrees_with_float64(seed):
-    params, X, B, S, hp = float_net_case(seed)
+    params, X, B, labels, hp = float_net_case(seed)
     F64, tape64 = forward(params, X)
-    grads64 = backward(params, tape64, loss_grad(F64, B, S, hp))
+    grads64 = backward(params, tape64, loss_grad(F64, B, labels, hp))
     net32 = as_float32(params)
     F32, tape32 = forward(net32, X.astype(np.float32))
-    grads32 = backward(net32, tape32, loss_grad(F32, B, S, hp))
+    grads32 = backward(net32, tape32, loss_grad(F32, B, labels, hp))
     assert np.max(np.abs(F32 - F64)) <= FORWARD_RTOL * np.max(np.abs(F64))
     for (dw32, db32), (dw64, db64) in zip(grads32, grads64):
         assert np.max(np.abs(dw32 - dw64)) <= BACKWARD_RTOL * np.max(np.abs(dw64))
@@ -422,10 +422,10 @@ def test_float32_step_agrees_with_float64(seed):
 
 
 def test_float32_step_never_upcasts():
-    params, X, B, S, hp = float_net_case(0)
+    params, X, B, labels, hp = float_net_case(0)
     net32 = as_float32(params)
     F, tape = forward(net32, X)  # float64 input is cast to the layers' dtype
-    grad = loss_grad(F, B, S, hp)  # float64 codes and similarity
+    grad = loss_grad(F, B, labels, hp)  # float64 codes
     grads = backward(net32, tape, grad.astype(np.float64))
     assert F.dtype == tape.inputs.dtype == grad.dtype == np.float32
     assert all(out.dtype == np.float32 for out in tape.out)

@@ -17,7 +17,7 @@ from hashnet.pretrain import init_binary_codes, pca_fit
 from hashnet.trainer import (
     LabeledFeatures,
     TrainSchedule,
-    _batch_indices,
+    _batches,
     _forward_blocks,
     _network_on,
     default_schedule,
@@ -94,28 +94,24 @@ def test_schedule_takes_numpy_integers():
 
 
 def test_batch_stream_exhausts_every_sample_each_pass():
-    rng = np.random.default_rng(0)
     n, m = 103, 10
-    order = rng.permutation(n)
-    pos = 0
+    batches = _batches(n, m, np.random.default_rng(0))
     per_pass = -(-n // m)
+    orders = []
     for _ in range(3):  # three consecutive passes
-        seen = []
-        for _ in range(per_pass):
-            order, pos, idx = _batch_indices(order, pos, m, rng)
-            seen.extend(idx.tolist())
-        assert sorted(seen) == list(range(n))
+        seen = np.concatenate([next(batches) for _ in range(per_pass)])
+        assert sorted(seen.tolist()) == list(range(n))
+        orders.append(seen)
+    # each pass is a fresh permutation from the same generator
+    want = np.random.default_rng(0)
+    for seen in orders:
+        assert np.array_equal(seen, want.permutation(n))
 
 
 def test_batch_stream_short_final_chunk():
     rng = np.random.default_rng(1)
-    order = rng.permutation(25)
-    pos = 0
-    sizes = []
-    for _ in range(3):
-        order, pos, idx = _batch_indices(order, pos, 10, rng)
-        sizes.append(idx.size)
-    assert sizes == [10, 10, 5]
+    batches = _batches(25, 10, rng)
+    assert [next(batches).size for _ in range(4)] == [10, 10, 5, 10]
 
 
 def test_train_loss_decreases_at_default_settings():
@@ -199,10 +195,19 @@ def test_train_divergence_guard_reports_position():
     sched = TrainSchedule(outer=2, inner=4, batch=32, seed=1)
     crazy = SgdConfig(learning_rate=1e160, weight_decay=0.9, momentum=0.9)
     with pytest.raises(DivergenceError) as exc:
-        with np.errstate(over="ignore", invalid="ignore"):
-            train(data, 8, Hyperparams(), sched, crazy)
+        train(data, 8, Hyperparams(), sched, crazy)
     assert exc.value.outer >= 1
     assert exc.value.inner >= 1
+
+
+def test_train_overflow_is_a_divergence_not_a_warning():
+    # The weights pass the float32 range after the last step, so only the
+    # code refresh that follows it overflows.
+    data = two_cluster_data(n=64, d=8)
+    crazy = SgdConfig(learning_rate=1e8, weight_decay=0.9)
+    with pytest.raises(DivergenceError, match="overflow") as exc:
+        train(data, 8, Hyperparams(), TrainSchedule(1, 5, 32, 0), crazy)
+    assert (exc.value.outer, exc.value.inner) == (1, 5)
 
 
 def test_divergence_reference_is_the_first_positive_loss(monkeypatch):
@@ -449,8 +454,10 @@ def test_train_on_512_dims_saves_three_layers_and_no_identity_layer():
 
 
 def test_labeled_features_validation():
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="^3 labels for 4 samples$"):
         LabeledFeatures(np.zeros((4, 2)), np.zeros(3, dtype=int))
+    with pytest.raises(InvalidInput, match="labels must be a non-empty 1-d sequence"):
+        LabeledFeatures(np.zeros((4, 2)), np.zeros((4, 1), dtype=int))
     with pytest.raises(InvalidInput):
         LabeledFeatures(np.full((4, 2), np.nan), np.zeros(4, dtype=int))
     with pytest.raises(InvalidInput, match=r"features must be 2-d, got shape \(4,\)"):
@@ -462,11 +469,12 @@ def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
             "refresh_forward": [], "master": []}
     real = {name: getattr(trainer, name) for name in
             ("forward", "backward", "loss_terms_and_grad", "sgd_step", "update_codes")}
-    refreshing = []
+    refreshing, batch_x = [], []
 
     def forward32(net, x):
         out, tape = real["forward"](net, x)
         key = "refresh_forward" if refreshing else "forward"
+        batch_x.append(x)
         seen[key] += [x.dtype, tape.inputs.dtype] + [a.dtype for a in tape.out]
         seen[key] += [a.dtype for l in net.layers for a in (l.weights, l.bias)]
         return out, tape
@@ -476,10 +484,12 @@ def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
         seen["backward"] += [g.dtype for pair in grads for g in pair]
         return grads
 
-    def loss32(outputs, codes, sim, hp):
-        terms, grad = real["loss_terms_and_grad"](outputs, codes, sim, hp)
-        seen["loss"] += [outputs.dtype, codes.dtype, sim.dtype, grad.dtype]
-        assert set(np.unique(codes)) <= {-1, 1} and set(np.unique(sim)) <= {-1, 1}
+    def loss32(outputs, codes, labels, hp):
+        terms, grad = real["loss_terms_and_grad"](outputs, codes, labels, hp)
+        seen["loss"] += [outputs.dtype, codes.dtype, grad.dtype]
+        assert set(np.unique(codes)) <= {-1, 1}
+        # the labels of the batch's samples, one per column
+        assert labels.tolist() == [label_of[col.tobytes()] for col in batch_x[-1].T]
         return terms, grad
 
     def sgd64(params, grads, cfg, velocity):
@@ -501,6 +511,8 @@ def test_train_computes_in_float32_against_float64_master_weights(monkeypatch):
                        ("update_codes", refresh32)):
         monkeypatch.setattr(trainer, name, fake)
     data = two_cluster_data(n=128)
+    label_of = dict(zip((x.tobytes() for x in data.features.astype(np.float32)), data.labels))
+    assert len(label_of) == data.n
     state = train(data, 8, Hyperparams(alpha=np.float64(0.3)),
                   TrainSchedule(outer=2, inner=3, batch=32, seed=4), SgdConfig())
     for key in ("forward", "backward", "loss", "refresh", "refresh_forward"):
@@ -568,7 +580,6 @@ def test_train_on_float32_features_gives_the_bytes_of_their_float64_widening(n, 
 
 @pytest.mark.parametrize("labels", [[0, 1, -1, 1] * 8, [0.0, 1.0] * 16, ["a", "b"] * 16])
 def test_train_rejects_labels_that_are_not_non_negative_integers(labels):
-    data = LabeledFeatures(np.random.default_rng(3).standard_normal((32, 4)), np.array(labels))
-    sched = TrainSchedule(outer=1, inner=1, batch=16)
+    # LabeledFeatures is the one check of training labels, before train
     with pytest.raises(InvalidInput, match="labels must be non-negative integers"):
-        train(data, 4, Hyperparams(), sched, SgdConfig())
+        LabeledFeatures(np.random.default_rng(3).standard_normal((32, 4)), np.array(labels))
